@@ -106,27 +106,34 @@ void BM_DdqnAct(benchmark::State& state) {
 }
 BENCHMARK(BM_DdqnAct);
 
+/// One DDQN gradient step at ACC's shape: batch 32 (the DdqnConfig default
+/// ACC keeps), 6 basic features x 3 history steps of input, heads {10,10,20}.
 void BM_DdqnTrainStep(benchmark::State& state) {
+  constexpr std::int32_t kInput = 18;
   auto replay = std::make_shared<rl::ReplayBuffer>(1000);
   rl::DdqnConfig cfg;
-  cfg.input_size = 18;
+  cfg.input_size = kInput;
   cfg.head_sizes = {10, 10, 20};
-  cfg.batch_size = 16;
   cfg.seed = 7;
   rl::DdqnAgent agent(cfg, replay, 0);
   sim::Rng rng(8);
-  for (int i = 0; i < 64; ++i) {
+  for (int i = 0; i < 4 * cfg.batch_size; ++i) {
     rl::DqnTransition t;
-    t.state.assign(18, rng.uniform());
-    t.next_state.assign(18, rng.uniform());
-    t.actions = {1, 2, 3};
+    for (std::int32_t f = 0; f < kInput; ++f) {
+      t.state.push_back(rng.uniform());
+      t.next_state.push_back(rng.uniform());
+    }
+    for (const std::int32_t n : cfg.head_sizes) {
+      t.actions.push_back(static_cast<std::int32_t>(
+          rng.uniform_int(static_cast<std::uint64_t>(n))));
+    }
     t.reward = rng.uniform();
     agent.observe(std::move(t));
   }
   for (auto _ : state) {
     agent.train_step();
   }
-  state.SetItemsProcessed(state.iterations() * 16);
+  state.SetItemsProcessed(state.iterations() * cfg.batch_size);
 }
 BENCHMARK(BM_DdqnTrainStep);
 

@@ -43,21 +43,18 @@ double DdqnAgent::epsilon() const {
   return cfg_.epsilon_start + frac * (cfg_.epsilon_end - cfg_.epsilon_start);
 }
 
-void DdqnAgent::q_values(const std::vector<Mlp>& nets,
-                         std::span<const double> state,
-                         std::vector<std::vector<double>>& q,
-                         std::vector<Mlp::Cache>* caches) const {
-  q.resize(nets.size());
-  if (caches != nullptr) caches->resize(nets.size());
-  for (std::size_t h = 0; h < nets.size(); ++h) {
-    q[h] = nets[h].forward(state, caches != nullptr ? &(*caches)[h] : nullptr);
+void DdqnAgent::q_values(std::span<const double> state,
+                         std::vector<std::vector<double>>& q) const {
+  q.resize(online_.size());
+  for (std::size_t h = 0; h < online_.size(); ++h) {
+    q[h] = online_[h].forward(state);
   }
 }
 
 std::vector<std::int32_t> DdqnAgent::act(std::span<const double> state,
                                          sim::Rng& rng) {
   std::vector<std::vector<double>> q;
-  q_values(online_, state, q);
+  q_values(state, q);
   std::vector<std::int32_t> actions(q.size());
   const double eps = epsilon();
   for (std::size_t h = 0; h < q.size(); ++h) {
@@ -71,7 +68,7 @@ std::vector<std::int32_t> DdqnAgent::act(std::span<const double> state,
 std::vector<std::int32_t> DdqnAgent::act_greedy(
     std::span<const double> state) const {
   std::vector<std::vector<double>> q;
-  q_values(online_, state, q);
+  q_values(state, q);
   std::vector<std::int32_t> actions(q.size());
   for (std::size_t h = 0; h < q.size(); ++h) actions[h] = argmax(q[h]);
   return actions;
@@ -86,32 +83,48 @@ void DdqnAgent::train_step() {
   if (replay_->size() < static_cast<std::size_t>(cfg_.batch_size)) return;
   const auto idx = replay_->sample_indices(
       static_cast<std::size_t>(cfg_.batch_size), sample_rng_);
+  const auto batch = static_cast<std::int32_t>(idx.size());
   const double inv_b = 1.0 / static_cast<double>(idx.size());
+
+  // Gather the minibatch into row-major (batch x input) planes.
+  const auto in = static_cast<std::size_t>(cfg_.input_size);
+  std::vector<double> states(idx.size() * in);
+  std::vector<double> next_states(idx.size() * in);
+  for (std::size_t s = 0; s < idx.size(); ++s) {
+    const DqnTransition& tr = replay_->at(idx[s]);
+    assert(tr.state.size() == in && tr.next_state.size() == in);
+    std::copy(tr.state.begin(), tr.state.end(), states.begin() + s * in);
+    std::copy(tr.next_state.begin(), tr.next_state.end(),
+              next_states.begin() + s * in);
+  }
 
   for (auto& net : online_) net.zero_grad();
 
-  for (const std::size_t i : idx) {
-    const DqnTransition& tr = replay_->at(i);
+  Mlp::BatchCache cache;
+  for (std::size_t h = 0; h < online_.size(); ++h) {
     // Double-DQN target: online net picks the argmax, target net scores it.
-    std::vector<std::vector<double>> q_next_online;
-    std::vector<std::vector<double>> q_next_target;
-    q_values(online_, tr.next_state, q_next_online);
-    q_values(target_, tr.next_state, q_next_target);
+    const std::vector<double> q_next_online =
+        online_[h].forward_batch(next_states, batch);
+    const std::vector<double> q_next_target =
+        target_[h].forward_batch(next_states, batch);
+    const std::vector<double> q_cur =
+        online_[h].forward_batch(states, batch, &cache);
 
-    std::vector<Mlp::Cache> caches;
-    std::vector<std::vector<double>> q_cur;
-    q_values(online_, tr.state, q_cur, &caches);
-
-    for (std::size_t h = 0; h < online_.size(); ++h) {
-      const std::int32_t best_next = argmax(q_next_online[h]);
+    // Each row's only nonzero gradient is at the action taken.
+    const auto out = static_cast<std::size_t>(online_[h].output_size());
+    std::vector<double> dq(q_cur.size(), 0.0);
+    for (std::size_t s = 0; s < idx.size(); ++s) {
+      const DqnTransition& tr = replay_->at(idx[s]);
+      const std::size_t row = s * out;
+      const std::int32_t best_next = argmax(
+          std::span<const double>(q_next_online).subspan(row, out));
       const double target =
-          tr.reward + cfg_.gamma * q_next_target[h][best_next];
-      const double pred = q_cur[h][tr.actions[h]];
-      const double err = pred - target;
-      std::vector<double> dq(q_cur[h].size(), 0.0);
-      dq[tr.actions[h]] = 2.0 * err * inv_b;
-      online_[h].backward(tr.state, caches[h], dq);
+          tr.reward + cfg_.gamma * q_next_target[row + best_next];
+      const std::size_t taken = row + tr.actions[h];
+      const double err = q_cur[taken] - target;
+      dq[taken] = 2.0 * err * inv_b;
     }
+    online_[h].backward_batch(states, cache, dq, batch);
   }
   opt_->step();
   ++train_steps_;

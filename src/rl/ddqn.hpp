@@ -48,7 +48,9 @@ class DdqnAgent {
   void observe(DqnTransition t);
 
   /// One gradient step from a replay minibatch (no-op until the buffer has
-  /// at least one batch).
+  /// at least one batch). The minibatch runs through each head as one
+  /// forward_batch/backward_batch pass; the result is bitwise identical to
+  /// taking the samples one at a time in draw order.
   void train_step();
 
   [[nodiscard]] double epsilon() const;
@@ -76,9 +78,8 @@ class DdqnAgent {
 
  private:
   void sync_target();
-  void q_values(const std::vector<Mlp>& nets, std::span<const double> state,
-                std::vector<std::vector<double>>& q,
-                std::vector<Mlp::Cache>* caches = nullptr) const;
+  void q_values(std::span<const double> state,
+                std::vector<std::vector<double>>& q) const;
 
   DdqnConfig cfg_;
   sim::Rng init_rng_;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "workload/distributions.hpp"
 
 namespace pet::workload {
@@ -86,6 +88,12 @@ struct WorkloadCase {
   double max_mean;
   double mice_fraction_min;  // P(size <= 100KB)
 };
+
+// Without this gtest names each case by its raw bytes, padding included, so
+// the test ID changed from one test discovery to the next.
+void PrintTo(const WorkloadCase& c, std::ostream* os) {
+  *os << workload_name(c.kind);
+}
 
 class WorkloadCdfTest : public ::testing::TestWithParam<WorkloadCase> {};
 
