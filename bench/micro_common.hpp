@@ -24,7 +24,10 @@ namespace pet::bench {
 /// ".iterations", plus every user counter under its own name (rate
 /// counters arrive already divided by elapsed time, so e.g.
 /// "<benchmark>.events_per_sec" is the headline number the bench gate
-/// compares). Aggregate rows are skipped — raw iterations only.
+/// compares). With --benchmark_repetitions=N (N > 1) a benchmark's metrics
+/// come from its median aggregate row, the median over the N repetitions
+/// of each time and counter; ".iterations" stays the per-repetition
+/// iteration count, and the other aggregate rows are skipped.
 class ArtifactReporter : public benchmark::ConsoleReporter {
  public:
   explicit ArtifactReporter(exp::RunArtifact* art) : art_(art) {}
@@ -32,14 +35,22 @@ class ArtifactReporter : public benchmark::ConsoleReporter {
   void ReportRuns(const std::vector<Run>& reports) override {
     benchmark::ConsoleReporter::ReportRuns(reports);
     for (const Run& run : reports) {
-      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
+      if (run.error_occurred) continue;
+      const std::string key = run.run_name.str();
+      // An aggregate row's `iterations` is the repetition count, and its
+      // accumulated times are scaled so that dividing by it still gives
+      // per-iteration time.
       const double iters =
           run.iterations > 0 ? static_cast<double>(run.iterations) : 1.0;
-      const std::string key = run.benchmark_name();
+      if (run.run_type == Run::RT_Iteration) {
+        art_->add_metric(key + ".iterations", iters);
+        if (run.repetitions > 1) continue;
+      } else if (run.aggregate_name != "median") {
+        continue;
+      }
       art_->add_metric(key + ".real_ns",
                        run.real_accumulated_time * 1e9 / iters);
       art_->add_metric(key + ".cpu_ns", run.cpu_accumulated_time * 1e9 / iters);
-      art_->add_metric(key + ".iterations", iters);
       for (const auto& [name, counter] : run.counters) {
         art_->add_metric(key + "." + name,
                          static_cast<double>(counter.value));

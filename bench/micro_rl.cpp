@@ -17,6 +17,7 @@
 
 #include "micro_common.hpp"
 
+#include "rl/adam.hpp"
 #include "rl/ddqn.hpp"
 #include "rl/gae.hpp"
 #include "rl/inference.hpp"
@@ -77,8 +78,9 @@ void BM_PpoUpdate(benchmark::State& state) {
   rl::PpoAgent agent(pet_shape());
   sim::Rng rng(4);
   rl::RolloutBuffer buf;
-  const std::vector<double> s(24, 0.4);
   for (int i = 0; i < 32; ++i) {
+    std::vector<double> s(24);
+    for (double& v : s) v = rng.uniform();
     auto res = agent.act(s, rng);
     buf.push(rl::Transition{s, res.actions, res.log_prob, res.value,
                             rng.uniform()});
@@ -89,6 +91,67 @@ void BM_PpoUpdate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 32);
 }
 BENCHMARK(BM_PpoUpdate);
+
+/// One batched backward pass (parameter gradients of every layer, dL/dx of
+/// the hidden layers) at batch 32 on a cached forward: PET's actor head
+/// (tanh 24-64-64-10, dense upstream gradient) and ACC's widest head (ReLU
+/// 18-64-64-20, one-hot upstream gradient as in DdqnAgent::train_step).
+void BM_MlpBackwardBatch(benchmark::State& state, rl::Activation act,
+                         std::vector<std::int32_t> sizes, bool one_hot) {
+  constexpr std::int32_t kBatch = 32;
+  sim::Rng rng(9);
+  rl::Mlp mlp(sizes, act, rng);
+  const auto in = static_cast<std::size_t>(sizes.front());
+  const auto out = static_cast<std::size_t>(sizes.back());
+  std::vector<double> x(kBatch * in);
+  for (double& v : x) v = rng.uniform(-1.0, 1.0);
+  std::vector<double> dy(kBatch * out, 0.0);
+  for (std::size_t s = 0; s < kBatch; ++s) {
+    if (one_hot) {
+      dy[s * out + rng.uniform_int(out)] = rng.uniform(-0.1, 0.1);
+    } else {
+      for (std::size_t o = 0; o < out; ++o) {
+        dy[s * out + o] = rng.uniform(-0.1, 0.1);
+      }
+    }
+  }
+  rl::Mlp::BatchCache cache;
+  benchmark::DoNotOptimize(mlp.forward_batch(x, kBatch, &cache));
+  for (auto _ : state) {
+    mlp.backward_batch(x, cache, dy, kBatch);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK_CAPTURE(BM_MlpBackwardBatch, pet, rl::Activation::kTanh,
+                  std::vector<std::int32_t>{24, 64, 64, 10}, false);
+BENCHMARK_CAPTURE(BM_MlpBackwardBatch, acc, rl::Activation::kRelu,
+                  std::vector<std::int32_t>{18, 64, 64, 20}, true);
+
+/// One Adam step over PET's 25,705 parameters (three actor heads
+/// 24-64-64-{10,10,20} and the 24-64-64-1 critic) with PET's gradient clip.
+void BM_AdamStep(benchmark::State& state) {
+  sim::Rng rng(10);
+  std::vector<rl::Mlp> nets;
+  for (const std::int32_t n : {10, 10, 20, 1}) {
+    nets.emplace_back(std::vector<std::int32_t>{24, 64, 64, n},
+                      rl::Activation::kTanh, rng);
+  }
+  rl::ParamRefs refs;
+  for (auto& net : nets) net.collect(refs);
+  for (const rl::ParamSpan& span : refs.spans) {
+    for (double& g : span.grads) g = rng.uniform(-0.05, 0.05);
+  }
+  rl::Adam opt(refs, rl::AdamConfig{.lr = 4e-4, .max_grad_norm = 0.5});
+  for (auto _ : state) {
+    opt.step();
+    benchmark::ClobberMemory();
+  }
+  state.counters["params"] = static_cast<double>(refs.size());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(refs.size()));
+}
+BENCHMARK(BM_AdamStep);
 
 void BM_DdqnAct(benchmark::State& state) {
   auto replay = std::make_shared<rl::ReplayBuffer>(1000);

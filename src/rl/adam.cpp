@@ -3,26 +3,35 @@
 #include <cmath>
 #include <utility>
 
+#include "rl/kernels.hpp"
+
 namespace pet::rl {
 
 void Adam::step() {
   ++t_;
   double scale = 1.0;
   if (cfg_.max_grad_norm > 0.0) {
+    // One ascending chain over every gradient, span after span.
     double sq = 0.0;
-    for (const double* g : refs_.grads) sq += (*g) * (*g);
+    for (const ParamSpan& s : refs_.spans) {
+      for (const double g : s.grads) sq += g * g;
+    }
     const double norm = std::sqrt(sq);
     if (norm > cfg_.max_grad_norm) scale = cfg_.max_grad_norm / norm;
   }
-  const double bc1 = 1.0 - std::pow(cfg_.beta1, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(cfg_.beta2, static_cast<double>(t_));
-  for (std::size_t i = 0; i < refs_.size(); ++i) {
-    const double g = *refs_.grads[i] * scale;
-    m_[i] = cfg_.beta1 * m_[i] + (1.0 - cfg_.beta1) * g;
-    v_[i] = cfg_.beta2 * v_[i] + (1.0 - cfg_.beta2) * g * g;
-    const double mhat = m_[i] / bc1;
-    const double vhat = v_[i] / bc2;
-    *refs_.params[i] -= cfg_.lr * mhat / (std::sqrt(vhat) + cfg_.eps);
+  const kern::AdamCoeffs c{
+      .scale = scale,
+      .beta1 = cfg_.beta1,
+      .beta2 = cfg_.beta2,
+      .bc1 = 1.0 - std::pow(cfg_.beta1, static_cast<double>(t_)),
+      .bc2 = 1.0 - std::pow(cfg_.beta2, static_cast<double>(t_)),
+      .lr = cfg_.lr,
+      .eps = cfg_.eps};
+  std::size_t off = 0;
+  for (const ParamSpan& s : refs_.spans) {
+    kern::adam_step_f64(s.params.data(), s.grads.data(), m_.data() + off,
+                        v_.data() + off, s.params.size(), c);
+    off += s.params.size();
   }
 }
 

@@ -1,5 +1,6 @@
 #pragma once
-// Adam optimizer over the flat parameter view collected from modules.
+// Adam optimizer over the flat parameter view collected from modules:
+// one kern::adam_step_f64 call per contiguous (param, grad) span.
 
 #include <cstdint>
 #include <vector>

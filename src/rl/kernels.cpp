@@ -1,5 +1,6 @@
 #include "rl/kernels.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cmath>
@@ -93,6 +94,41 @@ void gemm_bias_f64_scalar(const double* PET_KERN_RESTRICT w,
       for (std::int32_t i = 0; i < in; ++i) acc += row[i] * xs[i];
       ys[o] = acc;
     }
+  }
+}
+
+// Columns the scalar stream keeps in a local block, the width of the AVX2
+// backend's widest block.
+constexpr std::int32_t kStreamBlock = 16;
+
+/// Scalar reference of detail::stream_columns_avx2 (same contract).
+void stream_columns_scalar(const double* g, std::size_t gs, const double* v,
+                           std::size_t vs, std::int32_t n, std::int32_t width,
+                           const double* init, double* dst) {
+  for (std::int32_t c = 0; c < width; c += kStreamBlock) {
+    const std::int32_t nb = std::min(kStreamBlock, width - c);
+    double acc[kStreamBlock];
+    for (std::int32_t k = 0; k < nb; ++k) {
+      acc[k] = init != nullptr ? init[c + k] : 0.0;
+    }
+    for (std::int32_t t = 0; t < n; ++t) {
+      const double gt = g[t * gs];
+      const double* vt = v + t * vs + c;
+      for (std::int32_t k = 0; k < nb; ++k) acc[k] += gt * vt[k];
+    }
+    for (std::int32_t k = 0; k < nb; ++k) dst[c + k] = acc[k];
+  }
+}
+
+void adam_step_f64_scalar(double* PET_KERN_RESTRICT p,
+                          const double* PET_KERN_RESTRICT grad,
+                          double* PET_KERN_RESTRICT m,
+                          double* PET_KERN_RESTRICT v, std::size_t n,
+                          const AdamCoeffs& c) {
+  const double omb1 = 1.0 - c.beta1;
+  const double omb2 = 1.0 - c.beta2;
+  for (std::size_t i = 0; i < n; ++i) {
+    detail::adam_lane(p[i], grad[i], m[i], v[i], c, omb1, omb2);
   }
 }
 
@@ -216,6 +252,43 @@ void gemm_bias_f64(const double* PET_KERN_RESTRICT w,
     return;
   }
   gemm_bias_f64_scalar(w, b, x, y, batch, in, out);
+}
+
+void backward_f64(const double* PET_KERN_RESTRICT w,
+                  const double* PET_KERN_RESTRICT x,
+                  const double* PET_KERN_RESTRICT dy,
+                  double* PET_KERN_RESTRICT gw, double* PET_KERN_RESTRICT gb,
+                  double* PET_KERN_RESTRICT dx, std::int32_t batch,
+                  std::int32_t in, std::int32_t out) {
+  assert(batch >= 0 && in > 0 && out > 0);
+  const auto stream =
+      use_avx2() ? &detail::stream_columns_avx2 : &stream_columns_scalar;
+  const auto in_sz = static_cast<std::size_t>(in);
+  const auto out_sz = static_cast<std::size_t>(out);
+  // dW/db: one output row at a time, samples streaming in ascending order.
+  for (std::int32_t o = 0; o < out; ++o) {
+    double bacc = gb[o];
+    for (std::int32_t s = 0; s < batch; ++s) bacc += dy[s * out_sz + o];
+    gb[o] = bacc;
+    double* grow = gw + o * in_sz;
+    stream(dy + o, out_sz, x, in_sz, batch, in, grow, grow);
+  }
+  if (dx == nullptr) return;
+  // dX: one sample at a time, weight rows streaming in ascending order.
+  for (std::int32_t s = 0; s < batch; ++s) {
+    stream(dy + s * out_sz, 1, w, in_sz, out, in, nullptr, dx + s * in_sz);
+  }
+}
+
+void adam_step_f64(double* PET_KERN_RESTRICT p,
+                   const double* PET_KERN_RESTRICT grad,
+                   double* PET_KERN_RESTRICT m, double* PET_KERN_RESTRICT v,
+                   std::size_t n, const AdamCoeffs& c) {
+  if (use_avx2()) {
+    detail::adam_step_f64_avx2(p, grad, m, v, n, c);
+    return;
+  }
+  adam_step_f64_scalar(p, grad, m, v, n, c);
 }
 
 void gemm_bias_f32(const float* PET_KERN_RESTRICT w,

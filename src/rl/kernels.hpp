@@ -7,6 +7,7 @@
 //    multiply and add roundings (no FMA contraction) — the exact floating-
 //    point sequence of the naive per-sample loop, so the batched/AVX2 path
 //    is a pure reordering of the training forward and goldens are safe.
+//    The training kernels (backward_f64, adam_step_f64) keep the same rule.
 //  - f32: each output is one fused-multiply-add chain in ascending order;
 //    the scalar path uses std::fma(float) which is the same IEEE operation
 //    as one vfmadd lane.
@@ -18,6 +19,7 @@
 // Results are therefore a function of the *precision*, never of the machine
 // the binary happens to run on.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -54,6 +56,56 @@ void gemm_bias_f64(const double* PET_KERN_RESTRICT w,
                    const double* PET_KERN_RESTRICT x,
                    double* PET_KERN_RESTRICT y, std::int32_t batch,
                    std::int32_t in, std::int32_t out);
+
+/// Backward pass of gemm_bias_f64 for a (batch x in) input `x` and a
+/// (batch x out) upstream gradient `dy`, accumulating into the existing
+/// parameter gradients:
+///   gw[o,i] += sum_s dy[s,o] * x[s,i]     gb[o] += sum_s dy[s,o]
+/// with samples added one at a time in ascending order per element. If `dx`
+/// is non-null it receives the (batch x in) input gradient
+///   dx[s,i] = sum_o dy[s,o] * w[o,i]
+/// with outputs added in ascending order to an accumulator starting at
+/// +0.0. Every product is a separate multiply and add rounding (no FMA), so
+/// each element follows the floating-point sequence of a per-sample loop.
+///
+/// Zero contract: unlike a per-sample loop that skips dy == 0, the kernels
+/// add every product, including ±0 ones. That is an identity whenever
+/// `x` and `w` are finite and every accumulator is +0.0 or nonzero: an IEEE
+/// sum is -0.0 only when both addends are -0.0, so an accumulator that
+/// starts at +0.0 (zero_grad, the dx reset) never becomes -0.0, and
+/// adding ±0.0 to +0.0 or to a nonzero value returns it unchanged. A
+/// non-finite x or w times a zero dy gives NaN where the skipping loop
+/// gives nothing.
+void backward_f64(const double* PET_KERN_RESTRICT w,
+                  const double* PET_KERN_RESTRICT x,
+                  const double* PET_KERN_RESTRICT dy,
+                  double* PET_KERN_RESTRICT gw, double* PET_KERN_RESTRICT gb,
+                  double* PET_KERN_RESTRICT dx, std::int32_t batch,
+                  std::int32_t in, std::int32_t out);
+
+/// Per-step constants of one Adam update (see adam_step_f64).
+struct AdamCoeffs {
+  double scale = 1.0;  // gradient clip factor, 1 when the norm is in bounds
+  double beta1 = 0.9;
+  double beta2 = 0.999;
+  double bc1 = 1.0;  // 1 - beta1^t
+  double bc2 = 1.0;  // 1 - beta2^t
+  double lr = 1e-3;
+  double eps = 1e-8;
+};
+
+/// One Adam update over `n` contiguous elements. Per element, in this
+/// order and each rounded once:
+///   g = grad * scale
+///   m = beta1 * m + (1 - beta1) * g
+///   v = beta2 * v + ((1 - beta2) * g) * g
+///   p = p - (lr * (m / bc1)) / (sqrt(v / bc2) + eps)
+/// Division and square root are the correctly rounded IEEE operations on
+/// every backend, so the AVX2 lanes match the scalar loop bitwise.
+void adam_step_f64(double* PET_KERN_RESTRICT p,
+                   const double* PET_KERN_RESTRICT grad,
+                   double* PET_KERN_RESTRICT m, double* PET_KERN_RESTRICT v,
+                   std::size_t n, const AdamCoeffs& c);
 
 /// fp32 variant; one FMA chain per output (see header comment).
 void gemm_bias_f32(const float* PET_KERN_RESTRICT w,

@@ -4,15 +4,18 @@
 // after cpu_has_avx2() confirms AVX2+FMA at runtime.
 //
 // Bitwise contracts (see kernels.hpp):
-//  - f64 uses target("avx2") WITHOUT fma so the compiler cannot contract
-//    the mul+add pair; every lane reproduces the scalar two-rounding chain.
+//  - f64 (forward GEMM, backward column streams, Adam) uses target("avx2") WITHOUT
+//    fma so the compiler cannot contract a mul+add pair; every lane
+//    reproduces the scalar two-rounding chain.
 //  - f32 uses one vfmadd chain per output lane; the scalar fallback runs
 //    the same IEEE fma sequence, so results match bitwise.
 //  - s8 accumulates exactly in int32 (order-independent).
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 
+#include "rl/kernels.hpp"
 #include "rl/kernels_detail.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -79,6 +82,92 @@ __attribute__((target("avx2"))) void gemm_bias_f64_avx2(
       for (std::int32_t i = 0; i < in; ++i) acc += row[i] * xs[i];
       ys[o] = acc;
     }
+  }
+}
+
+namespace {
+
+/// V four-lane columns of stream_columns_avx2: acc[j] starts from init (or
+/// +0.0) and adds g[t*gs] * v[t*vs + 4j + k] for t ascending, as a
+/// separate multiply and add (this TU is compiled without FMA).
+template <int V>
+__attribute__((target("avx2"))) inline void stream_block(
+    const double* g, std::size_t gs, const double* v, std::size_t vs,
+    std::int32_t n, const double* init, double* dst) {
+  __m256d acc[V];
+  for (int j = 0; j < V; ++j) {
+    acc[j] = init != nullptr ? _mm256_loadu_pd(init + 4 * j)
+                             : _mm256_setzero_pd();
+  }
+  for (std::int32_t t = 0; t < n; ++t) {
+    const __m256d gt = _mm256_broadcast_sd(g + t * gs);
+    const double* vt = v + t * vs;
+    for (int j = 0; j < V; ++j) {
+      acc[j] = _mm256_add_pd(acc[j],
+                             _mm256_mul_pd(gt, _mm256_loadu_pd(vt + 4 * j)));
+    }
+  }
+  for (int j = 0; j < V; ++j) _mm256_storeu_pd(dst + 4 * j, acc[j]);
+}
+
+}  // namespace
+
+__attribute__((target("avx2"))) void stream_columns_avx2(
+    const double* g, std::size_t gs, const double* v, std::size_t vs,
+    std::int32_t n, std::int32_t width, const double* init, double* dst) {
+  // Columns sit in registers 16, then 4, then 1 at a time while the rows
+  // stream past; lane c is the scalar chain of column c.
+  std::int32_t c = 0;
+  for (; c + 16 <= width; c += 16) {
+    stream_block<4>(g, gs, v + c, vs, n, init != nullptr ? init + c : nullptr,
+                    dst + c);
+  }
+  for (; c + 4 <= width; c += 4) {
+    stream_block<1>(g, gs, v + c, vs, n, init != nullptr ? init + c : nullptr,
+                    dst + c);
+  }
+  for (; c < width; ++c) {
+    double acc = init != nullptr ? init[c] : 0.0;
+    for (std::int32_t t = 0; t < n; ++t) acc += g[t * gs] * v[t * vs + c];
+    dst[c] = acc;
+  }
+}
+
+__attribute__((target("avx2"))) void adam_step_f64_avx2(
+    double* p, const double* grad, double* m, double* v, std::size_t n,
+    const AdamCoeffs& c) {
+  // Lane k runs the scalar element sequence of kernels.hpp; vdivpd and
+  // vsqrtpd are the correctly rounded IEEE operations, like divsd/sqrtsd.
+  const double one_minus_b1 = 1.0 - c.beta1;
+  const double one_minus_b2 = 1.0 - c.beta2;
+  const __m256d scale = _mm256_set1_pd(c.scale);
+  const __m256d b1 = _mm256_set1_pd(c.beta1);
+  const __m256d b2 = _mm256_set1_pd(c.beta2);
+  const __m256d omb1 = _mm256_set1_pd(one_minus_b1);
+  const __m256d omb2 = _mm256_set1_pd(one_minus_b2);
+  const __m256d bc1 = _mm256_set1_pd(c.bc1);
+  const __m256d bc2 = _mm256_set1_pd(c.bc2);
+  const __m256d lr = _mm256_set1_pd(c.lr);
+  const __m256d eps = _mm256_set1_pd(c.eps);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d g = _mm256_mul_pd(_mm256_loadu_pd(grad + i), scale);
+    const __m256d mv = _mm256_add_pd(_mm256_mul_pd(b1, _mm256_loadu_pd(m + i)),
+                                     _mm256_mul_pd(omb1, g));
+    const __m256d vv =
+        _mm256_add_pd(_mm256_mul_pd(b2, _mm256_loadu_pd(v + i)),
+                      _mm256_mul_pd(_mm256_mul_pd(omb2, g), g));
+    _mm256_storeu_pd(m + i, mv);
+    _mm256_storeu_pd(v + i, vv);
+    const __m256d mhat = _mm256_div_pd(mv, bc1);
+    const __m256d vhat = _mm256_div_pd(vv, bc2);
+    const __m256d step =
+        _mm256_div_pd(_mm256_mul_pd(lr, mhat),
+                      _mm256_add_pd(_mm256_sqrt_pd(vhat), eps));
+    _mm256_storeu_pd(p + i, _mm256_sub_pd(_mm256_loadu_pd(p + i), step));
+  }
+  for (; i < n; ++i) {
+    adam_lane(p[i], grad[i], m[i], v[i], c, one_minus_b1, one_minus_b2);
   }
 }
 
@@ -341,6 +430,11 @@ bool cpu_has_avx2() { return false; }
 void gemm_bias_f64_avx2(const double*, const double*, const double*, double*,
                         std::int32_t, std::int32_t, std::int32_t,
                         const double*) {}
+void stream_columns_avx2(const double*, std::size_t, const double*,
+                         std::size_t, std::int32_t, std::int32_t,
+                         const double*, double*) {}
+void adam_step_f64_avx2(double*, const double*, double*, double*, std::size_t,
+                        const AdamCoeffs&) {}
 void gemm_bias_f32_avx2(const float*, const float*, const float*, float*,
                         std::int32_t, std::int32_t, std::int32_t,
                         const float*) {}

@@ -3,7 +3,11 @@
 // kernels_avx2.cpp (the target("avx2")-attributed implementations). Not an
 // installed/public header.
 
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
+
+#include "rl/kernels.hpp"
 
 namespace pet::rl::kern::detail {
 
@@ -12,6 +16,15 @@ namespace pet::rl::kern::detail {
 void gemm_bias_f64_avx2(const double* w, const double* b, const double* x,
                         double* y, std::int32_t batch, std::int32_t in,
                         std::int32_t out, const double* pack);
+/// The backend half of backward_f64: for each column c < width,
+/// dst[c] = init[c] (+0.0 when init is null) plus g[t*gs] * v[t*vs + c]
+/// added for t = 0..n-1 in ascending order, one multiply and one add
+/// rounding each. `init` may equal `dst`.
+void stream_columns_avx2(const double* g, std::size_t gs, const double* v,
+                         std::size_t vs, std::int32_t n, std::int32_t width,
+                         const double* init, double* dst);
+void adam_step_f64_avx2(double* p, const double* grad, double* m, double* v,
+                        std::size_t n, const AdamCoeffs& c);
 void gemm_bias_f32_avx2(const float* w, const float* b, const float* x,
                         float* y, std::int32_t batch, std::int32_t in,
                         std::int32_t out, const float* pack);
@@ -22,6 +35,19 @@ void quantize_rows_s8_avx2(const float* x, std::int8_t* q, float* sx,
                            std::int32_t batch, std::int32_t in);
 void tanh_inplace_f32_avx2(float* v, std::int64_t n);
 [[nodiscard]] bool cpu_has_avx2();
+
+/// One Adam element in the operation order of kernels.hpp; `omb1`/`omb2`
+/// are 1 - beta1 and 1 - beta2. The scalar backend and the AVX2 remainder
+/// loop both call it, so every element runs the sequence of a vector lane.
+inline void adam_lane(double& p, double grad, double& m, double& v,
+                      const AdamCoeffs& c, double omb1, double omb2) {
+  const double g = grad * c.scale;
+  m = c.beta1 * m + omb1 * g;
+  v = c.beta2 * v + omb2 * g * g;
+  const double mhat = m / c.bc1;
+  const double vhat = v / c.bc2;
+  p -= c.lr * mhat / (std::sqrt(vhat) + c.eps);
+}
 
 // Round-to-nearest-even via the 1.5 * 2^23 magic constant: adding then
 // subtracting forces the mantissa to integer precision under the default

@@ -1,7 +1,9 @@
 #include "rl/mlp.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdlib>
 
 #include "rl/kernels.hpp"
 
@@ -73,32 +75,9 @@ void Linear::backward_batch(std::span<const double> x,
                             std::int32_t batch) {
   assert(static_cast<std::int32_t>(x.size()) == batch * in_);
   assert(static_cast<std::int32_t>(dy.size()) == batch * out_);
-  if (!dx.empty()) {
-    assert(static_cast<std::int32_t>(dx.size()) == batch * in_);
-  }
-  // Samples accumulate in ascending order per parameter — the same order a
-  // loop of single-sample backward() calls produces — so merged training is
-  // bitwise independent of whether the batch path was used.
-  for (std::int32_t s = 0; s < batch; ++s) {
-    const double* xs = &x[static_cast<std::size_t>(s) * in_];
-    const double* dys = &dy[static_cast<std::size_t>(s) * out_];
-    double* dxs =
-        dx.empty() ? nullptr : &dx[static_cast<std::size_t>(s) * in_];
-    if (dxs != nullptr) {
-      for (std::int32_t i = 0; i < in_; ++i) dxs[i] = 0.0;
-    }
-    for (std::int32_t o = 0; o < out_; ++o) {
-      const double g = dys[o];
-      if (g == 0.0) continue;
-      double* grow = &gw_[static_cast<std::size_t>(o) * in_];
-      const double* row = &w_[static_cast<std::size_t>(o) * in_];
-      gb_[o] += g;
-      for (std::int32_t i = 0; i < in_; ++i) {
-        grow[i] += g * xs[i];
-        if (dxs != nullptr) dxs[i] += g * row[i];
-      }
-    }
-  }
+  assert(dx.empty() || static_cast<std::int32_t>(dx.size()) == batch * in_);
+  kern::backward_f64(w_.data(), x.data(), dy.data(), gw_.data(), gb_.data(),
+                     dx.empty() ? nullptr : dx.data(), batch, in_, out_);
 }
 
 void Linear::zero_grad() {
@@ -107,14 +86,8 @@ void Linear::zero_grad() {
 }
 
 void Linear::collect(ParamRefs& refs) {
-  for (std::size_t i = 0; i < w_.size(); ++i) {
-    refs.params.push_back(&w_[i]);
-    refs.grads.push_back(&gw_[i]);
-  }
-  for (std::size_t i = 0; i < b_.size(); ++i) {
-    refs.params.push_back(&b_[i]);
-    refs.grads.push_back(&gb_[i]);
-  }
+  refs.spans.push_back({w_, gw_});
+  refs.spans.push_back({b_, gb_});
 }
 
 // ---------------------------------------------------------------------------
@@ -125,11 +98,11 @@ namespace {
 [[nodiscard]] double activate(Activation act, double pre) {
   return act == Activation::kTanh ? std::tanh(pre) : (pre > 0.0 ? pre : 0.0);
 }
-/// Derivative through the activation, expressed with whichever of pre/post
-/// is cheapest.
-[[nodiscard]] double activate_grad(Activation act, double pre, double post) {
+/// Derivative through the activation from the post-activation value: for
+/// ReLU, post > 0 holds exactly when pre > 0.
+[[nodiscard]] double activate_grad(Activation act, double post) {
   return act == Activation::kTanh ? 1.0 - post * post
-                                  : (pre > 0.0 ? 1.0 : 0.0);
+                                  : (post > 0.0 ? 1.0 : 0.0);
 }
 }  // namespace
 
@@ -183,7 +156,7 @@ std::vector<double> Mlp::backward(std::span<const double> x,
     if (!is_last) {
       // Through the activation.
       for (std::size_t i = 0; i < grad.size(); ++i) {
-        grad[i] *= activate_grad(act_, cache.pre[li][i], cache.post[li][i]);
+        grad[i] *= activate_grad(act_, cache.post[li][i]);
       }
     }
     const std::span<const double> input =
@@ -201,60 +174,49 @@ std::vector<double> Mlp::forward_batch(std::span<const double> x,
   assert(static_cast<std::int32_t>(x.size()) == batch * input_size());
   if (cache != nullptr) {
     cache->batch = batch;
-    cache->pre.assign(layers_.size(), {});
-    cache->post.assign(layers_.size(), {});
+    cache->post.resize(layers_.size() - 1);
   }
-  std::vector<double> cur(x.begin(), x.end());
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    std::vector<double> pre(static_cast<std::size_t>(batch) *
-                            static_cast<std::size_t>(layers_[l].out_size()));
-    layers_[l].forward_batch(cur, pre, batch);
-    const bool is_last = (l + 1 == layers_.size());
-    if (cache != nullptr) {
-      // Training path: capture pre-activations for backward_batch, then the
-      // post-activation plane (backprop reads both).
-      std::vector<double> post = pre;
-      if (!is_last) {
-        for (auto& v : post) v = activate(act_, v);
-      }
-      cache->pre[l] = pre;
-      cache->post[l] = post;
-      cur = std::move(post);
-    } else {
-      // Inference path: no consumer for the per-layer planes — activate in
-      // place and skip the capture copies entirely. Numerics are unchanged
-      // (the same activate() is applied to the same linear outputs).
-      if (!is_last) {
-        for (auto& v : pre) v = activate(act_, v);
-      }
-      cur = std::move(pre);
-    }
+  // Hidden planes are written in place: into the cache (training, reused
+  // across calls with the same cache) or into a ping-pong pair (inference).
+  std::vector<double> scratch[2];
+  std::span<const double> input = x;
+  const std::size_t last = layers_.size() - 1;
+  for (std::size_t l = 0; l < last; ++l) {
+    std::vector<double>& y = cache != nullptr ? cache->post[l] : scratch[l % 2];
+    y.resize(static_cast<std::size_t>(batch) *
+             static_cast<std::size_t>(layers_[l].out_size()));
+    layers_[l].forward_batch(input, y, batch);
+    for (auto& v : y) v = activate(act_, v);
+    input = y;
   }
-  return cur;
+  std::vector<double> out(static_cast<std::size_t>(batch) *
+                          static_cast<std::size_t>(output_size()));
+  layers_[last].forward_batch(input, out, batch);
+  return out;
 }
 
-std::vector<double> Mlp::backward_batch(std::span<const double> x,
-                                        const BatchCache& cache,
-                                        std::span<const double> dy,
-                                        std::int32_t batch) {
-  assert(cache.pre.size() == layers_.size());
+void Mlp::backward_batch(std::span<const double> x, const BatchCache& cache,
+                         std::span<const double> dy, std::int32_t batch) {
+  assert(cache.post.size() + 1 == layers_.size());
   assert(cache.batch == batch);
   assert(static_cast<std::int32_t>(dy.size()) == batch * output_size());
   std::vector<double> grad(dy.begin(), dy.end());
+  std::vector<double> dx;
   for (std::size_t li = layers_.size(); li-- > 0;) {
-    const bool is_last = (li + 1 == layers_.size());
-    if (!is_last) {
+    if (li + 1 != layers_.size()) {
+      const std::vector<double>& post = cache.post[li];
       for (std::size_t i = 0; i < grad.size(); ++i) {
-        grad[i] *= activate_grad(act_, cache.pre[li][i], cache.post[li][i]);
+        grad[i] *= activate_grad(act_, post[i]);
       }
     }
-    const std::span<const double> input =
-        li == 0 ? x : std::span<const double>(cache.post[li - 1]);
-    std::vector<double> dx(input.size());
-    layers_[li].backward_batch(input, grad, dx, batch);
-    grad = std::move(dx);
+    if (li == 0) {
+      layers_[0].backward_batch(x, grad, {}, batch);
+      return;
+    }
+    dx.resize(cache.post[li - 1].size());
+    layers_[li].backward_batch(cache.post[li - 1], grad, dx, batch);
+    std::swap(grad, dx);
   }
-  return grad;
 }
 
 void Mlp::zero_grad() {
@@ -289,8 +251,9 @@ bool Linear::load_state(sim::ByteSource& in) {
       b.size() != b_.size()) {
     return false;
   }
-  w_ = std::move(w);
-  b_ = std::move(b);
+  // Copy into the existing storage: collected ParamRefs spans point at it.
+  std::copy(w.begin(), w.end(), w_.begin());
+  std::copy(b.begin(), b.end(), b_.begin());
   return true;
 }
 
@@ -315,16 +278,49 @@ bool Mlp::load_state(sim::ByteSource& in) {
 
 // ---------------------------------------------------------------------------
 
+std::size_t ParamRefs::size() const {
+  std::size_t total = 0;
+  for (const ParamSpan& s : spans) total += s.params.size();
+  return total;
+}
+
+namespace {
+/// Element `i` in flattening order of the `field` side of `spans`.
+[[nodiscard]] double& span_element(const std::vector<ParamSpan>& spans,
+                                   std::size_t i,
+                                   std::span<double> ParamSpan::*field) {
+  for (const ParamSpan& s : spans) {
+    const std::span<double> side = s.*field;
+    if (i < side.size()) return side[i];
+    i -= side.size();
+  }
+  std::abort();  // index out of range
+}
+}  // namespace
+
+double& ParamRefs::param(std::size_t i) const {
+  return span_element(spans, i, &ParamSpan::params);
+}
+
+double& ParamRefs::grad(std::size_t i) const {
+  return span_element(spans, i, &ParamSpan::grads);
+}
+
 std::vector<double> snapshot_params(const ParamRefs& refs) {
   std::vector<double> out;
-  out.reserve(refs.params.size());
-  for (const double* p : refs.params) out.push_back(*p);
+  out.reserve(refs.size());
+  for (const ParamSpan& s : refs.spans) {
+    out.insert(out.end(), s.params.begin(), s.params.end());
+  }
   return out;
 }
 
 void restore_params(const ParamRefs& refs, std::span<const double> values) {
-  assert(values.size() == refs.params.size());
-  for (std::size_t i = 0; i < values.size(); ++i) *refs.params[i] = values[i];
+  assert(values.size() == refs.size());
+  for (const ParamSpan& s : refs.spans) {
+    std::copy_n(values.begin(), s.params.size(), s.params.begin());
+    values = values.subspan(s.params.size());
+  }
 }
 
 }  // namespace pet::rl

@@ -13,14 +13,26 @@
 
 namespace pet::rl {
 
-/// Parameter/gradient element pointers collected from modules; the flat
-/// view optimizers operate on. Pointers stay valid for the module lifetime
-/// (parameter vectors never resize).
-struct ParamRefs {
-  std::vector<double*> params;
-  std::vector<double*> grads;
+/// One contiguous run of parameters and the gradients that pair with them
+/// element for element: one Linear's weights, or its biases.
+struct ParamSpan {
+  std::span<double> params;
+  std::span<double> grads;
+};
 
-  [[nodiscard]] std::size_t size() const { return params.size(); }
+/// The flat parameter view optimizers operate on: the spans of one or more
+/// modules in collection order, which is also the flattening order of
+/// weight snapshots, Adam moments and checkpoints. Spans stay valid for the
+/// module lifetime (parameter vectors never resize or reallocate).
+struct ParamRefs {
+  std::vector<ParamSpan> spans;
+
+  /// Number of scalars across all spans.
+  [[nodiscard]] std::size_t size() const;
+  /// Scalar `i` in flattening order. Walks the spans; for tests and tools,
+  /// not for per-element loops.
+  [[nodiscard]] double& param(std::size_t i) const;
+  [[nodiscard]] double& grad(std::size_t i) const;
 };
 
 /// Fully connected layer y = W x + b with gradient accumulation.
@@ -52,8 +64,9 @@ class Linear {
 
   /// Batched backward: `x` (batch x in), `dy` (batch x out); if `dx` is
   /// non-empty (batch x in), also produces per-sample input gradients.
-  /// Gradient accumulation visits samples in ascending order per parameter,
-  /// bitwise-matching `batch` sequential backward() calls.
+  /// Runs kern::backward_f64: gradients accumulate samples in ascending
+  /// order per parameter, bitwise-matching `batch` sequential backward()
+  /// calls under that kernel's zero contract (finite x and weights).
   void backward_batch(std::span<const double> x, std::span<const double> dy,
                       std::span<double> dx, std::int32_t batch);
 
@@ -110,11 +123,13 @@ class Mlp {
   std::vector<double> backward(std::span<const double> x, const Cache& cache,
                                std::span<const double> dy);
 
-  /// Per-layer batched activations captured by forward_batch, consumed by
-  /// backward_batch. Layer l holds row-major (batch x sizes_[l+1]) planes.
+  /// Batched activations captured by forward_batch, consumed by
+  /// backward_batch: post[l] is hidden layer l's row-major
+  /// (batch x sizes_[l+1]) post-activation plane, for l < num_layers() - 1.
+  /// backward_batch needs no pre-activations: tanh' = 1 - post^2, and a
+  /// ReLU unit passes gradient iff post > 0, which holds iff pre > 0.
   struct BatchCache {
     std::int32_t batch = 0;
-    std::vector<std::vector<double>> pre;
     std::vector<std::vector<double>> post;
   };
 
@@ -127,13 +142,11 @@ class Mlp {
       BatchCache* cache = nullptr) const;
 
   /// Batched backprop of `dy` (batch x output_size()); accumulates
-  /// parameter gradients for the whole batch and returns dL/dx
-  /// (batch x input_size()). Bitwise identical to sequential backward()
-  /// calls over the same samples in order.
-  std::vector<double> backward_batch(std::span<const double> x,
-                                     const BatchCache& cache,
-                                     std::span<const double> dy,
-                                     std::int32_t batch);
+  /// parameter gradients for the whole batch, bitwise identical to
+  /// sequential backward() calls over the same samples in order. The
+  /// input layer's dL/dx is not computed.
+  void backward_batch(std::span<const double> x, const BatchCache& cache,
+                      std::span<const double> dy, std::int32_t batch);
 
   void zero_grad();
   void collect(ParamRefs& refs);

@@ -32,10 +32,8 @@ PpoAgent::PpoAgent(const PpoConfig& cfg)
   for (auto& head : actor_heads_) head.collect(actor_refs_);
   critic_.collect(critic_refs_);
   refs_ = actor_refs_;
-  refs_.params.insert(refs_.params.end(), critic_refs_.params.begin(),
-                      critic_refs_.params.end());
-  refs_.grads.insert(refs_.grads.end(), critic_refs_.grads.begin(),
-                     critic_refs_.grads.end());
+  refs_.spans.insert(refs_.spans.end(), critic_refs_.spans.begin(),
+                     critic_refs_.spans.end());
   actor_opt_ = std::make_unique<Adam>(
       actor_refs_,
       AdamConfig{.lr = cfg.actor_lr, .max_grad_norm = cfg.max_grad_norm});

@@ -12,12 +12,7 @@ struct TwoParams {
   double p[2] = {5.0, -3.0};
   double g[2] = {0.0, 0.0};
 
-  [[nodiscard]] ParamRefs refs() {
-    ParamRefs r;
-    r.params = {&p[0], &p[1]};
-    r.grads = {&g[0], &g[1]};
-    return r;
-  }
+  [[nodiscard]] ParamRefs refs() { return ParamRefs{{{p, g}}}; }
 };
 
 TEST(Adam, MinimizesQuadratic) {

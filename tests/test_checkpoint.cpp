@@ -361,8 +361,8 @@ TEST(ComponentCheckpoint, ReplayBufferRoundTrip) {
 TEST(ComponentCheckpoint, AdamRoundTripContinuesIdentically) {
   std::vector<double> pa{0.1, -0.2}, ga{0.0, 0.0};
   std::vector<double> pb = pa, gb = ga;
-  rl::ParamRefs refs_a{{&pa[0], &pa[1]}, {&ga[0], &ga[1]}};
-  rl::ParamRefs refs_b{{&pb[0], &pb[1]}, {&gb[0], &gb[1]}};
+  const rl::ParamRefs refs_a{{{pa, ga}}};
+  const rl::ParamRefs refs_b{{{pb, gb}}};
   rl::AdamConfig cfg;
   rl::Adam a(refs_a, cfg);
   rl::Adam b(refs_b, cfg);

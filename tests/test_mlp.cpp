@@ -30,7 +30,9 @@ TEST(Linear, CollectSizesMatch) {
   ParamRefs refs;
   lin.collect(refs);
   EXPECT_EQ(refs.size(), 4u * 5u + 5u);
-  EXPECT_EQ(refs.params.size(), refs.grads.size());
+  for (const ParamSpan& s : refs.spans) {
+    EXPECT_EQ(s.params.size(), s.grads.size());
+  }
 }
 
 TEST(Mlp, OutputDimensions) {
@@ -97,14 +99,14 @@ TEST_P(GradCheckTest, BackwardMatchesFiniteDifferences) {
   const double eps = 1e-6;
   const std::size_t stride = std::max<std::size_t>(1, refs.size() / 64);
   for (std::size_t i = 0; i < refs.size(); i += stride) {
-    const double orig = *refs.params[i];
-    *refs.params[i] = orig + eps;
+    const double orig = refs.param(i);
+    refs.param(i) = orig + eps;
     const double lp = loss();
-    *refs.params[i] = orig - eps;
+    refs.param(i) = orig - eps;
     const double lm = loss();
-    *refs.params[i] = orig;
+    refs.param(i) = orig;
     const double numeric = (lp - lm) / (2 * eps);
-    EXPECT_NEAR(*refs.grads[i], numeric, 1e-4 * std::max(1.0, std::abs(numeric)))
+    EXPECT_NEAR(refs.grad(i), numeric, 1e-4 * std::max(1.0, std::abs(numeric)))
         << "param " << i;
   }
 
@@ -143,10 +145,11 @@ TEST(Mlp, GradientsAccumulateAcrossBackwardCalls) {
   (void)mlp.forward(x, &cache);
   mlp.zero_grad();
   mlp.backward(x, cache, dy);
-  const auto once = snapshot_params(ParamRefs{refs.grads, refs.grads});
+  std::vector<double> once(refs.size());
+  for (std::size_t i = 0; i < refs.size(); ++i) once[i] = refs.grad(i);
   mlp.backward(x, cache, dy);
   for (std::size_t i = 0; i < refs.size(); ++i) {
-    EXPECT_NEAR(*refs.grads[i], 2.0 * once[i], 1e-12);
+    EXPECT_NEAR(refs.grad(i), 2.0 * once[i], 1e-12);
   }
 }
 
@@ -160,7 +163,7 @@ TEST(Mlp, ZeroGradClears) {
   (void)mlp.forward(x, &cache);
   mlp.backward(x, cache, std::vector<double>{1.0});
   mlp.zero_grad();
-  for (const double* g : refs.grads) EXPECT_EQ(*g, 0.0);
+  for (std::size_t i = 0; i < refs.size(); ++i) EXPECT_EQ(refs.grad(i), 0.0);
 }
 
 }  // namespace

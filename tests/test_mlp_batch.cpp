@@ -56,21 +56,23 @@ TEST(MlpBatch, ForwardBatchCacheMatchesSingleSampleCache) {
   const std::vector<double> x = random_matrix(6, 4, rng);
 
   Mlp::BatchCache bcache;
-  (void)mlp.forward_batch(x, batch, &bcache);
+  const std::vector<double> y = mlp.forward_batch(x, batch, &bcache);
   ASSERT_EQ(bcache.batch, batch);
 
+  // The batch cache holds the hidden layers' post-activation planes; the
+  // output layer's plane is the return value.
   for (std::int32_t b = 0; b < batch; ++b) {
     Mlp::Cache cache;
     const std::span<const double> row(x.data() + static_cast<std::size_t>(b) * 4,
                                       4);
     (void)mlp.forward(row, &cache);
-    ASSERT_EQ(bcache.pre.size(), cache.pre.size());
-    for (std::size_t l = 0; l < cache.pre.size(); ++l) {
-      const std::size_t width = cache.pre[l].size();
+    ASSERT_EQ(bcache.post.size() + 1, cache.post.size());
+    for (std::size_t l = 0; l < cache.post.size(); ++l) {
+      const std::vector<double>& plane =
+          l < bcache.post.size() ? bcache.post[l] : y;
+      const std::size_t width = cache.post[l].size();
       for (std::size_t j = 0; j < width; ++j) {
-        EXPECT_EQ(bcache.pre[l][static_cast<std::size_t>(b) * width + j],
-                  cache.pre[l][j]);
-        EXPECT_EQ(bcache.post[l][static_cast<std::size_t>(b) * width + j],
+        EXPECT_EQ(plane[static_cast<std::size_t>(b) * width + j],
                   cache.post[l][j]);
       }
     }
@@ -96,12 +98,11 @@ TEST(MlpBatch, BackwardBatchBitwiseMatchesLoopedBackward) {
   std::vector<double> dy =
       random_matrix(static_cast<std::size_t>(batch),
                     static_cast<std::size_t>(out), data_rng);
-  // Exercise the `g == 0` skip path too.
+  // Zeros the looped path skips and the batched kernel adds.
   dy[1] = 0.0;
-  dy[static_cast<std::size_t>(out) + 2] = 0.0;
+  dy[static_cast<std::size_t>(out) + 2] = -0.0;
 
   looped.zero_grad();
-  std::vector<double> dx_looped;
   for (std::int32_t b = 0; b < batch; ++b) {
     Mlp::Cache cache;
     const std::span<const double> row(
@@ -111,20 +112,13 @@ TEST(MlpBatch, BackwardBatchBitwiseMatchesLoopedBackward) {
     const std::span<const double> grad(
         dy.data() + static_cast<std::size_t>(b * out),
         static_cast<std::size_t>(out));
-    const std::vector<double> dx = looped.backward(row, cache, grad);
-    dx_looped.insert(dx_looped.end(), dx.begin(), dx.end());
+    (void)looped.backward(row, cache, grad);
   }
 
   batched.zero_grad();
   Mlp::BatchCache bcache;
   (void)batched.forward_batch(x, batch, &bcache);
-  const std::vector<double> dx_batched =
-      batched.backward_batch(x, bcache, dy, batch);
-
-  ASSERT_EQ(dx_batched.size(), dx_looped.size());
-  for (std::size_t i = 0; i < dx_looped.size(); ++i) {
-    EXPECT_EQ(dx_batched[i], dx_looped[i]) << "dx element " << i;
-  }
+  batched.backward_batch(x, bcache, dy, batch);
 
   ParamRefs ra;
   ParamRefs rb;
@@ -132,7 +126,7 @@ TEST(MlpBatch, BackwardBatchBitwiseMatchesLoopedBackward) {
   batched.collect(rb);
   ASSERT_EQ(ra.size(), rb.size());
   for (std::size_t i = 0; i < ra.size(); ++i) {
-    EXPECT_EQ(*ra.grads[i], *rb.grads[i]) << "grad element " << i;
+    EXPECT_EQ(ra.grad(i), rb.grad(i)) << "grad element " << i;
   }
 }
 
@@ -164,7 +158,7 @@ TEST(MlpBatch, NoCacheForwardMatchesCachedAndLeavesTrainingUntouched) {
   // Reference gradients: one clean cached-forward + backward.
   clean.zero_grad();
   (void)clean.forward_batch(x, batch, &cache);
-  (void)clean.backward_batch(x, cache, dy, batch);
+  clean.backward_batch(x, cache, dy, batch);
 
   // Same training step with inference traffic interleaved everywhere the
   // serving path could run it.
@@ -173,7 +167,7 @@ TEST(MlpBatch, NoCacheForwardMatchesCachedAndLeavesTrainingUntouched) {
   Mlp::BatchCache mixed_cache;
   (void)mixed.forward_batch(x, batch, &mixed_cache);
   (void)mixed.forward(std::span<const double>(probe.data(), 5));
-  (void)mixed.backward_batch(x, mixed_cache, dy, batch);
+  mixed.backward_batch(x, mixed_cache, dy, batch);
 
   ParamRefs ra;
   ParamRefs rb;
@@ -181,16 +175,18 @@ TEST(MlpBatch, NoCacheForwardMatchesCachedAndLeavesTrainingUntouched) {
   mixed.collect(rb);
   ASSERT_EQ(ra.size(), rb.size());
   for (std::size_t i = 0; i < ra.size(); ++i) {
-    EXPECT_EQ(*ra.params[i], *rb.params[i]) << "param element " << i;
-    EXPECT_EQ(*ra.grads[i], *rb.grads[i]) << "grad element " << i;
+    EXPECT_EQ(ra.param(i), rb.param(i)) << "param element " << i;
+    EXPECT_EQ(ra.grad(i), rb.grad(i)) << "grad element " << i;
   }
 }
 
 TEST(MlpBatch, LinearBatchKernelsMatchSingleSample) {
   sim::Rng rng(31);
+  sim::Rng rng_b(31);
   const std::int32_t in = 9;
   const std::int32_t out = 7;  // not a multiple of the row tile
   Linear a(in, out, rng);
+  Linear b_lin(in, out, rng_b);
 
   sim::Rng data_rng(32);
   const std::int32_t batch = 3;
@@ -209,6 +205,39 @@ TEST(MlpBatch, LinearBatchKernelsMatchSingleSample) {
       EXPECT_EQ(y_batch[static_cast<std::size_t>(b * out + j)],
                 y[static_cast<std::size_t>(j)]);
     }
+  }
+
+  // Backward: per-sample backward() on `a` against one backward_batch() on
+  // its twin, gradients and dL/dx, with zeros (skipped by the per-sample
+  // loop, added by the batched kernel) in the upstream gradient.
+  std::vector<double> dy = random_matrix(static_cast<std::size_t>(batch),
+                                         static_cast<std::size_t>(out),
+                                         data_rng);
+  dy[2] = 0.0;
+  dy[static_cast<std::size_t>(out) + 4] = -0.0;
+  std::vector<double> dx_looped(static_cast<std::size_t>(batch * in));
+  for (std::int32_t b = 0; b < batch; ++b) {
+    a.backward(std::span<const double>(x).subspan(
+                   static_cast<std::size_t>(b * in),
+                   static_cast<std::size_t>(in)),
+               std::span<const double>(dy).subspan(
+                   static_cast<std::size_t>(b * out),
+                   static_cast<std::size_t>(out)),
+               std::span<double>(dx_looped)
+                   .subspan(static_cast<std::size_t>(b * in),
+                            static_cast<std::size_t>(in)));
+  }
+  std::vector<double> dx_batched(dx_looped.size());
+  b_lin.backward_batch(x, dy, dx_batched, batch);
+  for (std::size_t i = 0; i < dx_looped.size(); ++i) {
+    EXPECT_EQ(dx_batched[i], dx_looped[i]) << "dx element " << i;
+  }
+  ParamRefs ra;
+  ParamRefs rb;
+  a.collect(ra);
+  b_lin.collect(rb);
+  for (std::size_t i = 0; i < ra.size(); ++i) {
+    EXPECT_EQ(ra.grad(i), rb.grad(i)) << "grad element " << i;
   }
 }
 

@@ -363,7 +363,7 @@ PROPERTY_CASES(InferenceOracle, QuantizeRejectsNonFinite, 400,
 
   rl::ParamRefs refs;
   net.collect(refs);
-  *refs.params[refs.size() / 2] =
+  refs.param(refs.size() / 2) =
       kind == 0 ? std::numeric_limits<double>::quiet_NaN()
                 : std::numeric_limits<double>::infinity();
   PROP_ASSERT(!model.quantize(net, rl::InferPrecision::kInt8));

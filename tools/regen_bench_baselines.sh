@@ -10,9 +10,9 @@
 #
 # Usage: tools/regen_bench_baselines.sh [build-dir]   (default: build)
 #
-# The bench list and --benchmark_min_time below MUST stay in sync with the
-# pet_add_bench_gate() calls in bench/CMakeLists.txt, which run the same
-# suites in CI.
+# The bench list, --benchmark_min_time and --benchmark_repetitions below
+# MUST stay in sync with the pet_add_bench_gate() calls in
+# bench/CMakeLists.txt, which run the same suites in CI.
 
 set -euo pipefail
 
@@ -20,6 +20,7 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-$repo_root/build}"
 out_dir="$repo_root/bench/baselines"
 min_time=0.05
+repetitions=3
 
 mkdir -p "$out_dir"
 for name in micro_sim micro_net micro_rl; do
@@ -31,6 +32,7 @@ for name in micro_sim micro_net micro_rl; do
   fi
   echo "regen_bench_baselines: running $name..."
   "$bin" --benchmark_min_time=$min_time \
+         --benchmark_repetitions=$repetitions \
          --artifact="$out_dir/BENCH_$name.json" > /dev/null
   echo "regen_bench_baselines: wrote bench/baselines/BENCH_$name.json"
 done
