@@ -3,8 +3,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <memory>
+#include <vector>
+
 #include "micro_common.hpp"
 
+#include "core/ncm.hpp"
 #include "net/fabric.hpp"
 #include "transport/dcqcn.hpp"
 #include "workload/distributions.hpp"
@@ -87,6 +92,56 @@ void BM_FabricSimulation(benchmark::State& state) {
       static_cast<double>(packets), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_FabricSimulation)->Unit(benchmark::kMillisecond);
+
+/// One agent switch's monitoring cost per forwarded packet: a 32-host
+/// switch forwards the same 100 µs slot of 512 data packets (random
+/// senders, receivers and flows) and, with arg 1, an NCM observes every
+/// packet and closes the slot. Arg 0 is the same datapath without the
+/// NCM, so the difference of the two `ns_per_packet` values is the NCM's.
+void BM_NcmOnForward(benchmark::State& state) {
+  const bool with_ncm = state.range(0) != 0;
+  constexpr std::int32_t kHosts = 32;
+  constexpr int kPackets = 512;
+  sim::Scheduler sched;
+  net::Network net(sched, 4);
+  auto& sw = net.add_switch({});
+  net::PortConfig nic;
+  nic.rate = sim::gbps(100);
+  nic.propagation_delay = sim::nanoseconds(500);
+  for (std::int32_t i = 0; i < kHosts; ++i) {
+    auto& h = net.add_host(nic);
+    net.connect(h.id(), sw.id(), nic.rate, nic.propagation_delay);
+  }
+  net.recompute_routes();
+  std::unique_ptr<core::Ncm> ncm;
+  if (with_ncm) ncm = std::make_unique<core::Ncm>(sched, sw, core::NcmConfig{});
+  std::vector<net::Packet> slot;
+  sim::Rng rng(11);
+  for (int i = 0; i < kPackets; ++i) {
+    net::Packet pkt;
+    pkt.type = net::PacketType::kData;
+    pkt.flow_id = 1 + rng.uniform_int(256);
+    pkt.src = static_cast<net::HostId>(rng.uniform_int(kHosts));
+    pkt.dst = static_cast<net::HostId>(rng.uniform_int(kHosts));
+    pkt.size_bytes = pkt.payload_bytes = 1000;
+    slot.push_back(pkt);
+  }
+  double ns = 0.0;
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const net::Packet& pkt : slot) sw.receive(pkt, pkt.src);
+    sched.run_until(sched.now() + sim::microseconds(100));
+    if (ncm) benchmark::DoNotOptimize(ncm->sample());
+    ns += std::chrono::duration<double, std::nano>(
+              std::chrono::steady_clock::now() - t0)
+              .count();
+  }
+  state.SetItemsProcessed(state.iterations() * kPackets);
+  state.SetLabel(with_ncm ? "switch + NCM" : "switch only");
+  state.counters["ns_per_packet"] =
+      ns / static_cast<double>(state.iterations() * kPackets);
+}
+BENCHMARK(BM_NcmOnForward)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 /// Routing recomputation cost (what a failure event triggers).
 void BM_RouteRecompute(benchmark::State& state) {

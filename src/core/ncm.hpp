@@ -3,10 +3,14 @@
 // that (1) monitors queue/port statistics, (2) computes the derived factors
 // (incast degree, mice/elephant ratio), and (3) evicts expired state via
 // scheduled and threshold-triggered cleanup so switch memory stays bounded.
+//
+// on_forward() runs for every data packet an agent switch forwards, so the
+// monitoring state is flat and allocation-free once warm: one bit row of
+// senders per destination touched in the slot, and an open-addressing flow
+// table whose capacity never shrinks (see DESIGN.md §2j).
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
+#include <limits>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -63,28 +67,79 @@ class Ncm {
 
   /// Resident tracking-state size (for the overhead experiments).
   [[nodiscard]] std::size_t tracked_flows() const { return flows_.size(); }
-  [[nodiscard]] std::size_t tracked_dsts() const { return dst_srcs_.size(); }
+  [[nodiscard]] std::size_t tracked_dsts() const { return dsts_.size(); }
 
   /// Checkpoint the monitoring state: slot clock, per-slot accumulators,
-  /// flow table, and port counter baselines. Unordered containers are
-  /// emitted in sorted-key order so the payload is layout-independent.
+  /// flow table, and port counter baselines. Destinations, senders and
+  /// flows are emitted in ascending-id order so the payload is
+  /// layout-independent.
   void save_state(sim::ByteSink& out) const;
   /// Restores a save_state payload; false (monitor untouched) on a
   /// corrupted payload or port-count mismatch.
   [[nodiscard]] bool load_state(sim::ByteSource& in);
 
  private:
+  struct FlowInfo {
+    net::FlowId id = 0;
+    std::int64_t bytes = 0;
+    std::int64_t last_seen_slot = 0;
+  };
+
+  /// Open-addressing flow table (linear probing, backward-shift erase, no
+  /// tombstones). Capacity is a power of two kept at most 3/4 full and never
+  /// shrinks, so a warm table inserts and erases without allocating.
+  class FlowTable {
+   public:
+    [[nodiscard]] std::size_t size() const { return size_; }
+    [[nodiscard]] FlowInfo& find_or_insert(net::FlowId id);
+    [[nodiscard]] const FlowInfo* find(net::FlowId id) const;
+    void erase(net::FlowId id);
+    /// Erases every entry matching `pred`, visiting each entry exactly once.
+    template <class Pred>
+    void erase_if(Pred pred);
+    /// Calls `fn` on every entry, in slot order (callers must not depend
+    /// on it).
+    template <class Fn>
+    void for_each(Fn fn) const {
+      for (const FlowInfo& e : slots_) {
+        if (e.last_seen_slot != kFree) fn(e);
+      }
+    }
+    void clear();
+
+    /// Marks an unused slot; no real entry carries it (load_state rejects
+    /// payloads that would).
+    static constexpr std::int64_t kFree =
+        std::numeric_limits<std::int64_t>::min();
+
+   private:
+    [[nodiscard]] std::size_t home(net::FlowId id) const;
+    void erase_at(std::size_t hole);
+    void grow();
+
+    std::vector<FlowInfo> slots_;
+    std::size_t size_ = 0;
+    int shift_ = 64;  // 64 - log2(capacity) for Fibonacci hashing
+  };
+
+  /// A destination touched in the current slot; row `k` of sender_bits_
+  /// belongs to dsts_[k].
+  struct DstRow {
+    net::HostId dst = 0;
+    std::int32_t fan_in = 0;  // distinct senders = popcount of the row
+  };
+
   void on_forward(const net::Packet& pkt, std::int32_t out_port,
                   std::int32_t queue_idx);
+  void add_sender(net::HostId dst, net::HostId src);
+  void widen_rows(std::size_t words);
+  void clear_dsts();
+  /// Indices into dsts_, ordered by destination id.
+  void dst_order(std::vector<std::int32_t>& order) const;
   void scheduled_cleanup();
   void threshold_cleanup();
   [[nodiscard]] std::int64_t scoped_tx_bytes(std::int32_t port) const;
   [[nodiscard]] std::int64_t scoped_tx_marked(std::int32_t port) const;
-
-  struct FlowInfo {
-    std::int64_t bytes = 0;
-    std::int64_t last_seen_slot = 0;
-  };
 
   sim::Scheduler& sched_;
   net::SwitchDevice& sw_;
@@ -94,13 +149,23 @@ class Ncm {
   sim::Time last_sample_;
   std::int64_t slot_index_ = 0;
 
-  // Per-slot accumulators.
-  std::unordered_map<net::HostId, std::unordered_set<net::HostId>> dst_srcs_;
-  std::unordered_set<net::FlowId> slot_flows_;
+  // Per-slot accumulators. Sender sets are bit rows of row_words_ words
+  // (bit s set: host s sent to this destination this slot); rows past
+  // dsts_.size() are not kept, so memory is touched dsts x hosts / 8 bytes.
+  // The flows seen this slot are exactly the flow-table entries whose
+  // last_seen_slot is slot_index_, so they need no set of their own.
+  std::vector<DstRow> dsts_;
+  std::vector<std::uint64_t> sender_bits_;
+  std::size_t row_words_ = 1;
+  std::vector<std::int32_t> dst_row_;  // HostId -> index in dsts_, -1 if none
   std::int64_t slot_packets_ = 0;
 
   // Cross-slot flow-size tracking for mice/elephant classification.
-  std::unordered_map<net::FlowId, FlowInfo> flows_;
+  FlowTable flows_;
+
+  // Threshold-cleanup scratch, kept so a warm monitor never allocates.
+  std::vector<std::int32_t> order_scratch_;
+  std::vector<net::FlowId> evict_scratch_;
 
   // Port counter baselines for window deltas.
   std::vector<std::int64_t> last_tx_bytes_;

@@ -162,13 +162,6 @@ void local_exploration_step_inplace(std::span<std::int32_t> actions,
   actions[h] = std::clamp(actions[h] + step, 0, head_sizes[h] - 1);
 }
 
-std::vector<std::int32_t> local_exploration_step(
-    std::vector<std::int32_t> actions,
-    const std::vector<std::int32_t>& head_sizes, sim::Rng& rng) {
-  local_exploration_step_inplace(actions, head_sizes, rng);
-  return actions;
-}
-
 void PetAgent::finalize_pending(const NcmSnapshot& snap,
                                 const std::vector<double>& /*next_state*/) {
   if (!pending_.has_value()) return;
@@ -237,8 +230,9 @@ std::optional<PetAgent::TickPrep> PetAgent::tick_observe() {
 
 void PetAgent::apply_serve_exploration(std::span<std::int32_t> actions,
                                        double explore) {
-  // Mirrors the deployment branch of tick_complete(): one bernoulli gate,
-  // then (rarely) one conservative single-head perturbation.
+  // One bernoulli gate, then (rarely) one conservative single-head
+  // perturbation: deployed switches probe one head one level up or down,
+  // never jump to an arbitrary threshold mid-production.
   if (explore <= 0.0 || !rng_.bernoulli(explore)) return;
   local_exploration_step_inplace(actions, cfg_.action_space.head_sizes(), rng_);
 }
@@ -286,20 +280,13 @@ void PetAgent::tick_complete(const TickPrep& prep) {
     (void)tick_begin_act();
     rl::PpoAgent::ActResult act;
     if (deployment_mode_) {
-      // Exploit the mode; keep the transition PPO-consistent by evaluating
-      // the chosen action under the current policy.
-      act.actions = policy_->act_greedy(prep.state);
-      if (policy_->exploration_rate() > 0.0 &&
-          rng_.bernoulli(policy_->exploration_rate())) {
-        // Deployed switches probe conservatively: one head, one level up or
-        // down — never a jump to an arbitrary threshold mid-production.
-        act.actions = local_exploration_step(
-            std::move(act.actions), cfg_.action_space.head_sizes(), rng_);
-      }
-      const rl::PpoAgent::Evaluation ev =
-          policy_->evaluate(prep.state, act.actions);
-      act.log_prob = ev.log_prob;
-      act.value = ev.value;
+      // Exploit the mode; keep the transition PPO-consistent by scoring the
+      // chosen action under the current policy's logits.
+      const double explore = policy_->exploration_rate();
+      act = policy_->act_greedy_scored(
+          prep.state, [&](std::span<std::int32_t> actions) {
+            apply_serve_exploration(actions, explore);
+          });
     } else {
       act = policy_->act(prep.state, rng_);
     }

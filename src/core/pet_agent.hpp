@@ -53,15 +53,9 @@ struct PetAgentConfig {
   [[nodiscard]] static PetAgentConfig paper_defaults();
 };
 
-/// Deployment-mode exploration: perturb one randomly chosen head by one
-/// level up or down, clamped to the head's range — a conservative local
-/// probe instead of an arbitrary jump.
-[[nodiscard]] std::vector<std::int32_t> local_exploration_step(
-    std::vector<std::int32_t> actions,
-    const std::vector<std::int32_t>& head_sizes, sim::Rng& rng);
-
-/// In-place variant (batched policy-server path, no per-agent allocation);
-/// draws the identical RNG sequence.
+/// Deployment-mode exploration, in place: perturb one randomly chosen head
+/// by one level up or down, clamped to the head's range — a conservative
+/// local probe instead of an arbitrary jump.
 void local_exploration_step_inplace(std::span<std::int32_t> actions,
                                     const std::vector<std::int32_t>& head_sizes,
                                     sim::Rng& rng);
@@ -105,10 +99,10 @@ class PetAgent {
   /// batched act. Equivalent to the in-tick act with the same sample.
   void tick_finish_act(const TickPrep& prep, rl::PpoAgent::ActResult act);
 
-  /// Policy-server path: apply the deployment-mode residual exploration to a
-  /// served greedy decision, in place. Draws the exact RNG sequence the
-  /// sequential deployment branch of tick_complete() draws, so a fp64-served
-  /// run is bitwise identical to the direct path.
+  /// Apply the deployment-mode residual exploration to a greedy decision,
+  /// in place. Both the policy-server path and the sequential deployment
+  /// branch of tick_complete() call it, so a fp64-served run draws the same
+  /// RNG sequence and is bitwise identical to the direct path.
   void apply_serve_exploration(std::span<std::int32_t> actions, double explore);
 
   /// Phase 2 (sequential path): everything after tick_observe().

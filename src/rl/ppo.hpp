@@ -7,9 +7,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "rl/adam.hpp"
+#include "rl/categorical.hpp"
 #include "rl/mlp.hpp"
 #include "rl/rollout.hpp"
 #include "sim/checkpoint.hpp"
@@ -61,6 +63,14 @@ class PpoAgent {
   /// Deterministic (argmax per head) action for evaluation.
   [[nodiscard]] std::vector<std::int32_t> act_greedy(
       std::span<const double> state) const;
+
+  /// Deployment act in one actor pass: argmax per head, then `probe` (a
+  /// callable taking std::span<std::int32_t>) may edit the greedy actions
+  /// before they are scored under the same logits. Bitwise equal to
+  /// act_greedy(), the probe, then evaluate() on the probed actions.
+  template <class Probe>
+  [[nodiscard]] ActResult act_greedy_scored(std::span<const double> state,
+                                            Probe&& probe) const;
 
   /// Critic value estimate (bootstrap for unfinished episodes).
   [[nodiscard]] double value(std::span<const double> state) const;
@@ -188,5 +198,23 @@ class PpoAgent {
   std::uint64_t weights_version_ = 1;
   sim::Rng shuffle_rng_;
 };
+
+template <class Probe>
+PpoAgent::ActResult PpoAgent::act_greedy_scored(std::span<const double> state,
+                                                Probe&& probe) const {
+  std::vector<std::vector<double>> logits;
+  head_logits(state, logits);
+  ActResult out;
+  out.actions.resize(logits.size());
+  for (std::size_t h = 0; h < logits.size(); ++h) {
+    out.actions[h] = argmax(logits[h]);
+  }
+  probe(std::span<std::int32_t>(out.actions));
+  for (std::size_t h = 0; h < logits.size(); ++h) {
+    out.log_prob += log_prob(logits[h], out.actions[h]);
+  }
+  out.value = value(state);
+  return out;
+}
 
 }  // namespace pet::rl

@@ -3,8 +3,9 @@
 // This binary replaces the global operator new/delete with counting
 // versions, warms each hot structure past its growth phase, then asserts
 // that the steady state — scheduler schedule/run cycles with transmit-sized
-// captures, FIFO ring push/pop, cancel churn, and a leaf-spine DCQCN
-// long-flow window — performs literally zero heap allocations.
+// captures, FIFO ring push/pop, cancel churn, a leaf-spine DCQCN
+// long-flow window, and an agent switch's NCM monitoring slots — performs
+// literally zero heap allocations.
 //
 // Kept out of the `fast` label on purpose: the sanitizer presets interpose
 // their own allocator and must not race a user-defined operator new.
@@ -16,6 +17,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "core/ncm.hpp"
 #include "net/fabric.hpp"
 #include "net/queue.hpp"
 #include "rl/inference.hpp"
@@ -166,6 +168,67 @@ TEST(AllocSteady, LeafSpineDcqcnSteadyWindowAllocatesNothing) {
   ASSERT_GT(sched.executed(), before + 1'000u);
   EXPECT_EQ(news, 0u) << "DCQCN datapath steady state allocated";
   EXPECT_EQ(deletes, 0u);
+}
+
+TEST(AllocSteady, NcmSteadySlotsAllocateNothing) {
+  // An NCM on a switch sees the same slot of traffic over and over: once
+  // its sender rows, flow table and cleanup scratch have grown to the
+  // slot's size, on_forward() (run by receive()) and sample() must not
+  // allocate. Host ids reach past 128 so sender rows span three words; the
+  // tight limits make both threshold cleanups fire every slot.
+  for (const bool tight : {false, true}) {
+    sim::Scheduler sched;
+    net::Network net(sched, 1);
+    auto& sw = net.add_switch({});
+    net::PortConfig nic;
+    nic.rate = sim::gbps(100);
+    nic.propagation_delay = sim::nanoseconds(100);
+    constexpr std::int32_t kPorts = 8;
+    for (std::int32_t i = 0; i < kPorts; ++i) {
+      auto& h = net.add_host(nic);
+      net.connect(h.id(), sw.id(), nic.rate, nic.propagation_delay);
+    }
+    net.recompute_routes();
+    constexpr net::HostId kMaxHost = 150;
+    for (net::HostId d = 0; d <= kMaxHost; ++d) sw.set_routes(d, {d % kPorts});
+    core::NcmConfig cfg;
+    if (tight) {
+      cfg.max_tracked_flows = 64;
+      cfg.max_tracked_dsts = 16;
+    }
+    core::Ncm ncm(sched, sw, cfg);
+
+    std::vector<net::Packet> slot_traffic;
+    sim::Rng rng(9);
+    for (int i = 0; i < 400; ++i) {
+      net::Packet pkt;
+      pkt.type = net::PacketType::kData;
+      pkt.flow_id = 1 + rng.uniform_int(300);
+      pkt.src = static_cast<net::HostId>(rng.uniform_int(kMaxHost + 1));
+      pkt.dst = static_cast<net::HostId>(rng.uniform_int(kMaxHost + 1));
+      pkt.size_bytes = pkt.payload_bytes = 200;
+      slot_traffic.push_back(pkt);
+    }
+    std::int64_t flows_seen = 0;
+    const auto run_slots = [&](int n) {
+      for (int slot = 0; slot < n; ++slot) {
+        for (const net::Packet& pkt : slot_traffic) {
+          sw.receive(pkt, pkt.src % kPorts);
+        }
+        sched.run_until(sched.now() + sim::microseconds(100));
+        flows_seen += ncm.sample().flows_seen;
+      }
+    };
+    run_slots(6);  // warm: rows, flow table, scratch, port rings
+    AllocWindow w;
+    flows_seen = 0;
+    run_slots(50);
+    const std::uint64_t news = w.news();
+    const std::uint64_t deletes = w.deletes();
+    EXPECT_EQ(news, 0u) << "NCM steady slots allocated (tight=" << tight << ")";
+    EXPECT_EQ(deletes, 0u);
+    EXPECT_GT(flows_seen, 50 * 60);  // the monitor really saw the traffic
+  }
 }
 
 TEST(AllocSteady, InferenceForwardWarmAllocatesNothingAtEveryPrecision) {

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <vector>
 
 #include "core/pet_agent.hpp"
 #include "net/network.hpp"
@@ -17,16 +20,19 @@ struct DeploymentFixture : ::testing::Test {
   net::Network net{sched, 91};
   net::SwitchDevice* sw = nullptr;
 
-  void build() {
-    sw = &net.add_switch({});
+  void build() { sw = &build_switch(net); }
+
+  static net::SwitchDevice& build_switch(net::Network& network) {
+    auto& s = network.add_switch({});
     net::PortConfig nic;
     nic.rate = sim::gbps(10);
     nic.propagation_delay = sim::nanoseconds(100);
     for (int i = 0; i < 3; ++i) {
-      auto& h = net.add_host(nic);
-      net.connect(h.id(), sw->id(), nic.rate, nic.propagation_delay);
+      auto& h = network.add_host(nic);
+      network.connect(h.id(), s.id(), nic.rate, nic.propagation_delay);
     }
-    net.recompute_routes();
+    network.recompute_routes();
+    return s;
   }
 
   PetAgentConfig agent_config() {
@@ -68,7 +74,8 @@ TEST_F(DeploymentFixture, ExplorationStepsStayLocal) {
         static_cast<std::int32_t>(rng.uniform_int(10)),
         static_cast<std::int32_t>(rng.uniform_int(10)),
         static_cast<std::int32_t>(rng.uniform_int(20))};
-    const auto stepped = local_exploration_step(base, heads, rng);
+    std::vector<std::int32_t> stepped = base;
+    local_exploration_step_inplace(stepped, heads, rng);
     int changed = 0;
     for (std::size_t h = 0; h < heads.size(); ++h) {
       EXPECT_GE(stepped[h], 0);
@@ -85,10 +92,12 @@ TEST_F(DeploymentFixture, ExplorationStepClampsAtBoundaries) {
   const std::vector<std::int32_t> heads{2};
   sim::Rng rng(11);
   for (int trial = 0; trial < 100; ++trial) {
-    const auto low = local_exploration_step({0}, heads, rng);
+    std::vector<std::int32_t> low{0};
+    local_exploration_step_inplace(low, heads, rng);
     EXPECT_GE(low[0], 0);
     EXPECT_LE(low[0], 1);
-    const auto high = local_exploration_step({1}, heads, rng);
+    std::vector<std::int32_t> high{1};
+    local_exploration_step_inplace(high, heads, rng);
     EXPECT_GE(high[0], 0);
     EXPECT_LE(high[0], 1);
   }
@@ -135,6 +144,65 @@ TEST_F(DeploymentFixture, EvaluateMatchesPolicySemantics) {
     auto other = greedy;
     other[h] = (other[h] + 1) % policy.config().head_sizes[h];
     EXPECT_GE(ev.log_prob, policy.evaluate(state, other).log_prob);
+  }
+}
+
+TEST_F(DeploymentFixture, OnePassDeployedActMatchesGreedyThenEvaluate) {
+  // The deployment branch scores its action from the same actor pass that
+  // chose it. Pin it bit for bit against the two-pass path it replaced
+  // (act_greedy, the local probe, then evaluate), with the probe off,
+  // always on, and drawn at random, over states that vary with traffic.
+  for (const double explore : {0.0, 1.0, 0.5}) {
+    sim::Scheduler s;
+    net::Network n{s, 91};
+    net::SwitchDevice& dev = build_switch(n);
+    PetAgent agent(s, dev, agent_config(), 5);
+    agent.set_deployment_mode(true);
+    agent.set_local_updates(false);  // keep the weights fixed while scoring
+    agent.freeze_exploration(explore);
+    struct Expected {
+      std::vector<std::int32_t> actions;
+      double log_prob = 0.0;
+      double value = 0.0;
+    };
+    std::vector<Expected> expected;
+    sim::Rng traffic(explore > 0.0 ? 3 : 4);
+    for (int tick = 0; tick < 24; ++tick) {
+      for (int i = static_cast<int>(traffic.uniform_int(40)); i > 0; --i) {
+        net::Packet pkt;
+        pkt.type = net::PacketType::kData;
+        pkt.flow_id = 1 + traffic.uniform_int(6);
+        pkt.src = static_cast<net::HostId>(1 + traffic.uniform_int(2));
+        pkt.dst = 0;
+        pkt.size_bytes = pkt.payload_bytes = 1000;
+        dev.receive(pkt, pkt.src);
+      }
+      const auto prep = agent.tick_observe();
+      ASSERT_TRUE(prep.has_value());
+      sim::Rng rng = agent.action_rng();
+      std::vector<std::int32_t> actions =
+          agent.policy().act_greedy(prep->state);
+      if (explore > 0.0 && rng.bernoulli(explore)) {
+        local_exploration_step_inplace(
+            actions, agent_config().action_space.head_sizes(), rng);
+      }
+      const auto ev = agent.policy().evaluate(prep->state, actions);
+      expected.push_back({actions, ev.log_prob, ev.value});
+      agent.tick_complete(*prep);
+      EXPECT_EQ(agent.action_rng()(), rng()) << "same probe draws";
+      s.run_until(s.now() + sim::microseconds(100));
+    }
+    (void)agent.tick_observe();  // moves the last pending transition in
+    const auto harvest = agent.harvest_rollout();
+    const auto& got = harvest.rollout.items();
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t t = 0; t < got.size(); ++t) {
+      EXPECT_EQ(got[t].actions, expected[t].actions) << "tick " << t;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[t].log_prob),
+                std::bit_cast<std::uint64_t>(expected[t].log_prob));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[t].value),
+                std::bit_cast<std::uint64_t>(expected[t].value));
+    }
   }
 }
 
