@@ -143,6 +143,61 @@ void BM_NcmOnForward(benchmark::State& state) {
 }
 BENCHMARK(BM_NcmOnForward)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
+/// Per-hop cost of the switch datapath alone: a 16-host switch (100G ports,
+/// one data queue, no classifier, no observer) receives a burst of 1024
+/// data packets with random senders and receivers and forwards every one
+/// to its receiving host. Each packet costs one receive (route, ECMP,
+/// buffer and PFC accounting, RED marking, enqueue), one serialization
+/// event and one propagation event; `ns_per_packet` is wall time per
+/// forwarded packet, scheduler included.
+void BM_SwitchHop(benchmark::State& state) {
+  constexpr std::int32_t kHosts = 16;
+  constexpr int kPackets = 1024;
+  sim::Scheduler sched;
+  net::Network net(sched, 5);
+  auto& sw = net.add_switch({});
+  net::PortConfig nic;
+  nic.rate = sim::gbps(100);
+  nic.propagation_delay = sim::nanoseconds(500);
+  for (std::int32_t i = 0; i < kHosts; ++i) {
+    auto& h = net.add_host(nic);
+    net.connect(h.id(), sw.id(), nic.rate, nic.propagation_delay);
+  }
+  net.recompute_routes();
+  std::vector<net::Packet> burst;
+  sim::Rng rng(13);
+  for (int i = 0; i < kPackets; ++i) {
+    net::Packet pkt;
+    pkt.type = net::PacketType::kData;
+    pkt.flow_id = 1 + rng.uniform_int(512);
+    pkt.src = static_cast<net::HostId>(rng.uniform_int(kHosts));
+    pkt.dst = static_cast<net::HostId>(rng.uniform_int(kHosts));
+    pkt.size_bytes = pkt.payload_bytes = 1000;
+    burst.push_back(pkt);
+  }
+  double ns = 0.0;
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const net::Packet& pkt : burst) sw.receive(pkt, pkt.src);
+    benchmark::DoNotOptimize(sched.run_all());
+    ns += std::chrono::duration<double, std::nano>(
+              std::chrono::steady_clock::now() - t0)
+              .count();
+  }
+  std::int64_t forwarded = 0;
+  for (std::int32_t p = 0; p < sw.num_ports(); ++p) {
+    forwarded += sw.port(p).tx_packets();
+  }
+  if (forwarded != static_cast<std::int64_t>(state.iterations()) * kPackets) {
+    state.SkipWithError("switch did not forward every packet");
+    return;
+  }
+  state.SetItemsProcessed(forwarded);
+  state.SetLabel("items = forwarded packets");
+  state.counters["ns_per_packet"] = ns / static_cast<double>(forwarded);
+}
+BENCHMARK(BM_SwitchHop)->Unit(benchmark::kMicrosecond);
+
 /// Routing recomputation cost (what a failure event triggers).
 void BM_RouteRecompute(benchmark::State& state) {
   sim::Scheduler sched;

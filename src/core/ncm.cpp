@@ -265,6 +265,7 @@ NcmSnapshot Ncm::sample() {
 void Ncm::scheduled_cleanup() {
   clear_dsts();
   slot_packets_ = 0;
+  stale_flows_exhausted_ = false;
   const std::int64_t expiry = slot_index_ - cfg_.flow_expiry_slots;
   flows_.erase_if(
       [expiry](const FlowInfo& e) { return e.last_seen_slot < expiry; });
@@ -276,20 +277,26 @@ void Ncm::threshold_cleanup() {
   // Both evictions below stop at a size threshold, so visit order decides
   // who survives — visit ascending ids, never table-slot order (the
   // surviving state feeds NcmSnapshot and from there agent actions).
-  if (flows_.size() > cfg_.max_tracked_flows) {
+  if (!stale_flows_exhausted_ && flows_.size() > cfg_.max_tracked_flows) {
     // Only stale entries can go, and skipping the others changes no size,
     // so visiting the sorted stale ids stops exactly where a walk over all
     // sorted ids would.
+    ++flow_cleanup_scans_;
     const std::int64_t cutoff = slot_index_ - 1;
     evict_scratch_.clear();
     flows_.for_each([&](const FlowInfo& e) {
       if (e.last_seen_slot < cutoff) evict_scratch_.push_back(e.id);
     });
     std::sort(evict_scratch_.begin(), evict_scratch_.end());
+    std::size_t erased = 0;
     for (const net::FlowId id : evict_scratch_) {
       if (flows_.size() <= cfg_.max_tracked_flows / 2) break;
       flows_.erase(id);
+      ++erased;
     }
+    // Entries only ever get newer within a slot, so with the stale ones all
+    // gone a later scan this slot would find nothing to evict.
+    stale_flows_exhausted_ = erased == evict_scratch_.size();
   }
   if (dsts_.size() > cfg_.max_tracked_dsts) {
     // Sender sets are slot-scoped; dropping the smallest keeps the
@@ -445,6 +452,7 @@ bool Ncm::load_state(sim::ByteSource& in) {
   if (!in.ok()) return false;
   last_sample_ = sim::Time(last_sample_ps);
   slot_index_ = slot_index;
+  stale_flows_exhausted_ = false;
   clear_dsts();
   for (const net::HostId dst : dsts) add_sender(dst, -1);
   for (const auto& [dst, src] : senders) add_sender(dst, src);

@@ -68,6 +68,11 @@ class Ncm {
   /// Resident tracking-state size (for the overhead experiments).
   [[nodiscard]] std::size_t tracked_flows() const { return flows_.size(); }
   [[nodiscard]] std::size_t tracked_dsts() const { return dsts_.size(); }
+  /// Flow-table scans made by threshold cleanup so far (tests pin that a
+  /// slot stops scanning once the stale entries are gone).
+  [[nodiscard]] std::int64_t flow_cleanup_scans() const {
+    return flow_cleanup_scans_;
+  }
 
   /// Checkpoint the monitoring state: slot clock, per-slot accumulators,
   /// flow table, and port counter baselines. Destinations, senders and
@@ -162,6 +167,13 @@ class Ncm {
 
   // Cross-slot flow-size tracking for mice/elephant classification.
   FlowTable flows_;
+
+  // A flow cleanup that evicted every stale entry (last seen before
+  // slot_index_ - 1) leaves none to find until the slot index moves, so
+  // the rest of the slot skips the scan. Cleared by scheduled_cleanup and
+  // load_state.
+  bool stale_flows_exhausted_ = false;
+  std::int64_t flow_cleanup_scans_ = 0;
 
   // Threshold-cleanup scratch, kept so a warm monitor never allocates.
   std::vector<std::int32_t> order_scratch_;

@@ -30,7 +30,7 @@ class Device : public PortOwner {
   [[nodiscard]] const std::string& name() const { return name_; }
 
   /// Deliver a packet arriving on port `in_port` (-1 for injected traffic).
-  virtual void receive(Packet pkt, std::int32_t in_port) = 0;
+  virtual void receive(const Packet& pkt, std::int32_t in_port) = 0;
 
   /// Create a new port; returns its index.
   std::int32_t add_port(const PortConfig& cfg) {

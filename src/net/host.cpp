@@ -44,7 +44,7 @@ void HostDevice::send_control(Packet pkt) {
   port(0).enqueue_control(QueueEntry{pkt, -1});
 }
 
-void HostDevice::receive(Packet pkt, std::int32_t in_port) {
+void HostDevice::receive(const Packet& pkt, std::int32_t in_port) {
   if (pkt.is_link_local()) {
     const bool pause = (pkt.type == PacketType::kPfcPause);
     port(in_port).set_paused(pause);
@@ -74,13 +74,15 @@ void HostDevice::kick() {
   const sim::Time now = sched_.now();
   const std::size_t n = sources_.size();
   sim::Time earliest = sim::Time::max();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t idx = (rr_next_ + i) % n;
+  // Visit sources from rr_next_ round the ring (register/deregister keep
+  // rr_next_ < n); a wrapping index keeps % n out of the per-source loop.
+  std::size_t idx = rr_next_;
+  for (std::size_t i = 0; i < n; ++i, idx = idx + 1 == n ? 0 : idx + 1) {
     FlowSource* src = sources_[idx];
     if (!src->has_data()) continue;
     const sim::Time ready = src->next_emit_time();
     if (ready <= now) {
-      rr_next_ = (idx + 1) % n;
+      rr_next_ = idx + 1 == n ? 0 : idx + 1;
       Packet pkt = src->emit(now);
       pkt.sent_at = now;
       ++emitted_packets_;

@@ -46,7 +46,7 @@ class HostDevice : public Device {
   /// Send a control packet (CNP/ACK) immediately via the priority queue.
   void send_control(Packet pkt);
 
-  void receive(Packet pkt, std::int32_t in_port) override;
+  void receive(const Packet& pkt, std::int32_t in_port) override;
   void on_packet_departed(std::int32_t port, const QueueEntry& entry) override;
 
   [[nodiscard]] std::int64_t emitted_packets() const { return emitted_packets_; }

@@ -26,21 +26,22 @@ EgressPort::EgressPort(sim::Scheduler& sched, PortOwner& owner,
   }
 }
 
-void EgressPort::enqueue(QueueEntry entry, std::int32_t queue_idx) {
+void EgressPort::enqueue(const QueueEntry& entry, std::int32_t queue_idx) {
   assert(queue_idx >= 0 && queue_idx < num_data_queues());
   auto& queue = data_queues_[queue_idx];
-  if (entry.pkt.ecn_capable && !entry.pkt.ce_marked &&
-      markers_[queue_idx].should_mark(queue.bytes())) {
-    entry.pkt.ce_marked = true;
-  }
-  entry.queue_idx = queue_idx;
-  queue.push(std::move(entry), sched_.now());
+  // The marker sees the queue length before this packet joins it.
+  const bool mark = entry.pkt.ecn_capable && !entry.pkt.ce_marked &&
+                    markers_[queue_idx].should_mark(queue.bytes());
+  QueueEntry& queued = queue.push(entry, sched_.now());
+  if (mark) queued.pkt.ce_marked = true;
+  queued.queue_idx = queue_idx;
+  ++queued_;
   try_transmit();
 }
 
-void EgressPort::enqueue_control(QueueEntry entry) {
-  entry.queue_idx = -1;
-  control_queue_.push(std::move(entry), sched_.now());
+void EgressPort::enqueue_control(const QueueEntry& entry) {
+  control_queue_.push(entry, sched_.now()).queue_idx = -1;
+  ++queued_;
   try_transmit();
 }
 
@@ -62,10 +63,12 @@ void EgressPort::set_rate_factor(double factor) {
 
 std::vector<QueueEntry> EgressPort::drain_queues() {
   std::vector<QueueEntry> flushed;
-  while (auto e = control_queue_.pop(sched_.now())) flushed.push_back(std::move(*e));
+  QueueEntry e;
+  while (control_queue_.pop_into(e, sched_.now())) flushed.push_back(e);
   for (auto& q : data_queues_) {
-    while (auto e = q.pop(sched_.now())) flushed.push_back(std::move(*e));
+    while (q.pop_into(e, sched_.now())) flushed.push_back(e);
   }
+  queued_ = 0;
   return flushed;
 }
 
@@ -110,44 +113,43 @@ void EgressPort::reset_occupancy(std::int32_t queue_idx) {
 }
 
 bool EgressPort::pick_next(QueueEntry& out) {
+  const sim::Time now = sched_.now();
   // Control traffic is strict-priority and PFC-exempt.
-  if (auto e = control_queue_.pop(sched_.now())) {
-    out = std::move(*e);
-    return true;
-  }
+  if (control_queue_.pop_into(out, now)) return true;
   if (paused_) return false;
-  // Round-robin over data queues.
   const auto n = num_data_queues();
+  if (n == 1) return data_queues_[0].pop_into(out, now);
+  // Round-robin over data queues.
+  std::int32_t q = rr_next_;
   for (std::int32_t i = 0; i < n; ++i) {
-    const std::int32_t q = (rr_next_ + i) % n;
-    if (auto e = data_queues_[q].pop(sched_.now())) {
-      rr_next_ = (q + 1) % n;
-      out = std::move(*e);
+    if (data_queues_[q].pop_into(out, now)) {
+      rr_next_ = q + 1 == n ? 0 : q + 1;
       return true;
     }
+    q = q + 1 == n ? 0 : q + 1;
   }
   return false;
 }
 
-void EgressPort::try_transmit() {
-  if (busy_ || !link_up_) return;
+void EgressPort::start_transmit() {
   QueueEntry entry;
-  if (!pick_next(entry)) return;
+  if (!pick_next(entry)) return;  // only data queued, and paused
+  --queued_;
   busy_ = true;
-  sim::Time ser = cfg_.rate.serialization_time(entry.pkt.size_bytes);
+  sim::Time ser = serialization_time(entry.pkt.size_bytes);
   if (rate_factor_ < 1.0) {
     // Degraded link: serialization stretches by the inverse of the factor.
     ser = sim::Time(static_cast<std::int64_t>(
         static_cast<double>(ser.ps()) / rate_factor_));
   }
   const sim::Time done = sched_.now() + ser;
+  // The entry rides in the event's inline capture; finish_transmit reads
+  // it there by reference (the slot does not move while the event runs).
   sched_.schedule_at(
-      done,
-      [this, e = std::move(entry)]() mutable { finish_transmit(std::move(e)); },
-      "net.tx");
+      done, [this, entry] { finish_transmit(entry); }, "net.tx");
 }
 
-void EgressPort::finish_transmit(QueueEntry entry) {
+void EgressPort::finish_transmit(const QueueEntry& entry) {
   busy_ = false;
   tx_bytes_ += entry.pkt.size_bytes;
   ++tx_packets_;

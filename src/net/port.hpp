@@ -62,10 +62,10 @@ class EgressPort {
 
   /// Enqueue a data packet into queue `queue_idx`; the packet is CE-marked
   /// here if the queue's RED/ECN rule fires on the instantaneous length.
-  void enqueue(QueueEntry entry, std::int32_t queue_idx);
+  void enqueue(const QueueEntry& entry, std::int32_t queue_idx);
 
   /// Enqueue a control packet (CNP/PFC); strict priority, never paused.
-  void enqueue_control(QueueEntry entry);
+  void enqueue_control(const QueueEntry& entry);
 
   /// PFC pause state (data queues only).
   void set_paused(bool paused);
@@ -152,9 +152,26 @@ class EgressPort {
   void reset_occupancy(std::int32_t queue_idx = 0);
 
  private:
-  void try_transmit();
-  void finish_transmit(QueueEntry entry);
+  /// Start serializing the next packet unless the transmitter is busy,
+  /// the link is down or nothing is queued. Inline: most calls (every
+  /// enqueue behind a packet in flight, every departure that empties the
+  /// port) end at this check.
+  void try_transmit() {
+    if (busy_ || !link_up_ || queued_ == 0) return;
+    start_transmit();
+  }
+  void start_transmit();
+  void finish_transmit(const QueueEntry& entry);
   [[nodiscard]] bool pick_next(QueueEntry& out);
+  /// Serialization time at the nominal rate, cached for the last size
+  /// (the rate is fixed per port, so the cache is exact).
+  [[nodiscard]] sim::Time serialization_time(std::int32_t bytes) {
+    if (bytes != ser_bytes_) {
+      ser_bytes_ = bytes;
+      ser_time_ = cfg_.rate.serialization_time(bytes);
+    }
+    return ser_time_;
+  }
 
   sim::Scheduler& sched_;
   PortOwner& owner_;
@@ -167,6 +184,9 @@ class EgressPort {
   std::vector<FifoQueue> data_queues_;
   std::vector<RedEcnMarker> markers_;
   std::int32_t rr_next_ = 0;
+  std::int64_t queued_ = 0;  // packets in the control and data queues
+  std::int32_t ser_bytes_ = -1;  // no size cached yet
+  sim::Time ser_time_;
 
   bool busy_ = false;
   bool paused_ = false;

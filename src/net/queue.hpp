@@ -29,23 +29,35 @@ struct QueueEntry {
 
 class FifoQueue {
  public:
-  void push(QueueEntry entry, sim::Time now) {
+  /// Append a copy of `entry`; returns the stored entry so the caller can
+  /// stamp it in place.
+  QueueEntry& push(const QueueEntry& entry, sim::Time now) {
     note_change(now);
     bytes_ += entry.pkt.size_bytes;
     ++packets_;
     if (count_ == ring_.size()) grow();
-    ring_[(head_ + count_) & (ring_.size() - 1)] = std::move(entry);
+    QueueEntry& slot = ring_[(head_ + count_) & (ring_.size() - 1)];
+    slot = entry;
     ++count_;
+    return slot;
+  }
+
+  /// Copy the head entry into `out` and drop it; false (and `out`
+  /// untouched) if empty.
+  bool pop_into(QueueEntry& out, sim::Time now) {
+    if (count_ == 0) return false;
+    note_change(now);
+    out = ring_[head_];
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    --count_;
+    bytes_ -= out.pkt.size_bytes;
+    --packets_;
+    return true;
   }
 
   [[nodiscard]] std::optional<QueueEntry> pop(sim::Time now) {
-    if (count_ == 0) return std::nullopt;
-    note_change(now);
-    QueueEntry e = std::move(ring_[head_]);
-    head_ = (head_ + 1) & (ring_.size() - 1);
-    --count_;
-    bytes_ -= e.pkt.size_bytes;
-    --packets_;
+    QueueEntry e;
+    if (!pop_into(e, now)) return std::nullopt;
     return e;
   }
 

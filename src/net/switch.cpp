@@ -16,7 +16,6 @@ SwitchDevice::SwitchDevice(sim::Scheduler& sched, DeviceId id,
       cfg_(cfg),
       ecmp_salt_(sim::derive_seed(seed, "ecmp")) {
   assert(cfg_.pfc_xon_bytes <= cfg_.pfc_xoff_bytes);
-  classifier_ = [](const Packet&) { return 0; };
 }
 
 void SwitchDevice::set_routes(HostId dst, std::vector<std::int32_t> ports) {
@@ -37,14 +36,17 @@ const std::vector<std::int32_t>& SwitchDevice::routes(HostId dst) const {
 
 std::int32_t SwitchDevice::pick_ecmp_port(
     const std::vector<std::int32_t>& candidates, const Packet& pkt) const {
-  if (candidates.size() == 1) return candidates[0];
+  const std::size_t n = candidates.size();
+  if (n == 1) return candidates[0];
   // Flow-stable hash: keeps a flow on one path while spreading flows.
   std::uint64_t h = pkt.flow_id ^ ecmp_salt_;
   h = sim::splitmix64(h);
-  return candidates[h % candidates.size()];
+  // h & (n-1) equals h % n when n is a power of two (the common uplink
+  // count), without the division.
+  return candidates[(n & (n - 1)) == 0 ? h & (n - 1) : h % n];
 }
 
-void SwitchDevice::receive(Packet pkt, std::int32_t in_port) {
+void SwitchDevice::receive(const Packet& pkt, std::int32_t in_port) {
   if (pkt.is_link_local()) {
     // PFC frames act on the egress port attached to the link they came in on.
     port(in_port).set_paused(pkt.type == PacketType::kPfcPause);
@@ -77,7 +79,7 @@ void SwitchDevice::receive(Packet pkt, std::int32_t in_port) {
     }
     ingress_bytes_[in_port] += pkt.size_bytes;
   }
-  const std::int32_t queue_idx = classifier_(pkt);
+  const std::int32_t queue_idx = classifier_ ? classifier_(pkt) : 0;
   for (const auto& [id, observer] : observers_) observer(pkt, out, queue_idx);
   port(out).enqueue(QueueEntry{pkt, in_port}, queue_idx);
   if (in_port >= 0) update_pfc(in_port);

@@ -47,9 +47,12 @@ struct EcnConfigSummary {
 
 class SwitchDevice : public Device {
  public:
-  /// Classifies a data packet into one of the port's data queues.
+  /// Classifies a data packet into one of the port's data queues. With
+  /// none installed (the default, or an empty one) every packet goes to
+  /// queue 0.
   // pet-lint: allow(hot-path-alloc): classifiers are installed once at
-  // setup; the per-packet call itself does not allocate
+  // setup and the per-packet call does not allocate; with none installed
+  // the per-packet call is skipped
   using Classifier = std::function<std::int32_t(const Packet&)>;
   /// Observer invoked for every data packet accepted for forwarding
   /// (NCM taps this for incast degree and mice/elephant accounting).
@@ -84,7 +87,7 @@ class SwitchDevice : public Device {
   }
   void clear_forward_observers() { observers_.clear(); }
 
-  void receive(Packet pkt, std::int32_t in_port) override;
+  void receive(const Packet& pkt, std::int32_t in_port) override;
   void on_packet_departed(std::int32_t port, const QueueEntry& entry) override;
 
   // --- actuation: the knob the RL agents turn ------------------------------
@@ -136,7 +139,7 @@ class SwitchDevice : public Device {
   SwitchConfig cfg_;
   std::uint64_t ecmp_salt_;
   std::vector<std::vector<std::int32_t>> routes_;  // indexed by HostId
-  Classifier classifier_;
+  Classifier classifier_;  // empty: queue 0, no call
   std::vector<std::pair<std::int64_t, ForwardObserver>> observers_;
   std::int64_t next_observer_id_ = 1;
 

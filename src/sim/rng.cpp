@@ -6,11 +6,12 @@
 namespace pet::sim {
 
 std::uint64_t Rng::uniform_int(std::uint64_t n) {
-  // Lemire-style rejection to avoid modulo bias.
-  const std::uint64_t threshold = -n % n;
+  // Rejection to avoid modulo bias: accept r >= threshold = 2^64 mod n.
+  // threshold < n, so any r >= n is accepted without computing it; the
+  // second division runs only for the rare r < n. Same draws, same result.
   for (;;) {
     const std::uint64_t r = (*this)();
-    if (r >= threshold) return r % n;
+    if (r >= n || r >= -n % n) return r % n;
   }
 }
 

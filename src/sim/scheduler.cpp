@@ -12,6 +12,16 @@ void Scheduler::grow_pool() {
   pool_.push_back(std::make_unique<Record[]>(kChunkSize));
 }
 
+void Scheduler::grow_lane(Lane& lane) {
+  // Double (min 16) and unroll so the head lands at 0.
+  std::vector<HeapItem> bigger(lane.ring.empty() ? 16 : lane.ring.size() * 2);
+  for (std::size_t i = 0; i < lane.count; ++i) {
+    bigger[i] = lane.ring[(lane.head + i) & (lane.ring.size() - 1)];
+  }
+  lane.ring = std::move(bigger);
+  lane.head = 0;
+}
+
 void Scheduler::release_slot(std::uint32_t slot) {
   Record& rec = record(slot);
   rec.cb.reset();
@@ -60,6 +70,26 @@ void Scheduler::compact_tombstones() {
     }
   }
   heap_.resize(kept);
+  // Lanes keep their order; dropping entries leaves each one sorted.
+  for (Lane& lane : lanes_) {
+    const std::size_t mask = lane.ring.size() - 1;
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < lane.count; ++i) {
+      const HeapItem item = lane.ring[(lane.head + i) & mask];
+      if (record(item.slot).cancelled) {
+        record(item.slot).cancelled = false;
+        release_slot(item.slot);
+        --lane_items_;
+      } else {
+        lane.ring[(lane.head + n++) & mask] = item;
+      }
+    }
+    lane.count = n;
+  }
+  active_lanes_ = 0;
+  for (Lane& lane : lanes_) {
+    if (lane.count != 0) lane_order_push(&lane);
+  }
   tombstones_ = 0;
   if (kept <= 1) return;
   for (std::size_t start = (kept - 2) / kArity + 1; start-- > 0;) {
@@ -84,7 +114,7 @@ bool Scheduler::cancel(EventId id) {
   rec.cb.reset();
   --live_;
   ++tombstones_;
-  if (tombstones_ > kCompactMinTombstones && tombstones_ * 2 > heap_.size()) {
+  if (tombstones_ > kCompactMinTombstones && tombstones_ * 2 > heap_size()) {
     compact_tombstones();
   }
   return true;
@@ -99,10 +129,21 @@ void Scheduler::set_profiler(Profiler* profiler) {
 
 std::size_t Scheduler::run_until(Time until) {
   std::size_t ran = 0;
-  while (!heap_.empty() && heap_[0].at <= until) {
-    const HeapItem item = heap_[0];
-    heap_pop_root();
+  for (;;) {
+    // The next key is the smaller of the heap root and the smallest lane
+    // head; keys are unique, so the merge replays the (at, seq) order.
+    Lane* const lane = lane_min();
+    const bool from_lane =
+        lane != nullptr && (heap_.empty() || lane->front().before(heap_[0]));
+    if (!from_lane && heap_.empty()) break;
+    const HeapItem item = from_lane ? lane->front() : heap_[0];
+    if (item.at > until) break;
     Record& rec = record(item.slot);
+    if (from_lane) {
+      lane_pop_min();
+    } else {
+      heap_pop_root();
+    }
     if (rec.cancelled) {
       rec.cancelled = false;
       release_slot(item.slot);

@@ -18,8 +18,14 @@
 //     heap allocations (pinned by tests/test_alloc_steady.cpp);
 //   * tombstoned entries are compacted away once they outnumber the live
 //     half of the heap, so schedule-then-cancel patterns (retransmit and
-//     watchdog timers) run in bounded memory.
+//     watchdog timers) run in bounded memory;
+//   * delay lanes: keys scheduled the same fixed delay ahead (propagation,
+//     MTU serialization, timer periods) come out of a FIFO ring in
+//     (time, seq) order, so a few lanes take nearly every event off the
+//     heap; the run loop merges the smallest lane head with the heap root.
+//     See DESIGN.md §2g for why pop order is unchanged.
 
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -28,6 +34,7 @@
 #include <vector>
 
 #include "sim/callback.hpp"
+#include "sim/rng.hpp"
 #include "sim/time.hpp"
 
 namespace pet::sim {
@@ -77,7 +84,8 @@ class Scheduler {
       rec.cb.emplace(std::forward<Fn>(fn));
     }
     rec.kind = kind;
-    heap_push(HeapItem{at, next_seq_++, slot});
+    const HeapItem item{at, next_seq_++, slot};
+    if (!lane_push(item, at - now_)) heap_push(item);
     ++live_;
     return EventId((static_cast<std::uint64_t>(rec.gen) << 32) |
                    (static_cast<std::uint64_t>(slot) + 1));
@@ -111,8 +119,10 @@ class Scheduler {
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
   // --- capacity observability (leak regression tests, bench reports) -------
-  /// Heap entries, including not-yet-compacted tombstones.
-  [[nodiscard]] std::size_t heap_size() const { return heap_.size(); }
+  /// Queued keys (heap and lanes), including not-yet-compacted tombstones.
+  [[nodiscard]] std::size_t heap_size() const {
+    return heap_.size() + lane_items_;
+  }
   /// Pool slots ever created (high-water mark of concurrent events).
   [[nodiscard]] std::size_t pool_size() const { return pool_count_; }
   /// Cancelled entries still awaiting compaction or expiry.
@@ -148,7 +158,25 @@ class Scheduler {
     }
   };
 
+  /// FIFO of keys scheduled `delay` ahead of now(). now() never decreases
+  /// and seq always increases, so appending keeps a lane sorted by
+  /// (at, seq). Ring capacity is a power of two (or zero).
+  struct Lane {
+    Time delay = Time::max();
+    std::vector<HeapItem> ring;
+    std::size_t head = 0;
+    std::size_t count = 0;
+    [[nodiscard]] const HeapItem& front() const { return ring[head]; }
+  };
+
   static constexpr std::uint32_t kNilSlot = 0xffffffffu;
+  /// Delay lanes: the per-hop delays (propagation, MTU serialization at
+  /// each link rate) and the DCQCN timer periods repeat, so a few lanes
+  /// take nearly every event off the heap. A mixing hash spreads the
+  /// delays (round numbers like 1 us and 83.84 ns collide under a bare
+  /// multiply), so a rare delay seldom takes the slot of a frequent one.
+  static constexpr std::size_t kLaneBits = 4;
+  static constexpr std::size_t kLanes = std::size_t{1} << kLaneBits;
   /// 4-ary heap indexing: children of i are 4i+1..4i+4.
   static constexpr std::size_t kArity = 4;
   /// Compaction kicks in only past this many tombstones, so small schedulers
@@ -190,6 +218,76 @@ class Scheduler {
     heap_[i] = item;
   }
 
+  /// Append `item` to a lane of `delay`: one of two slots picked by a hash
+  /// of the delay, taking an empty slot for a new delay; false (heap) if
+  /// both hold other delays. Two lanes may share a delay; each is sorted.
+  bool lane_push(const HeapItem& item, Time delay) {
+    std::uint64_t mix = static_cast<std::uint64_t>(delay.ps());
+    const std::size_t h =
+        static_cast<std::size_t>(splitmix64(mix) >> (64 - kLaneBits));
+    for (std::size_t probe = 0; probe < 2; ++probe) {
+      Lane& lane = lanes_[(h + probe) & (kLanes - 1)];
+      if (lane.count == 0) lane.delay = delay;
+      if (lane.delay == delay) {
+        lane_append(lane, item);
+        return true;
+      }
+    }
+    return false;
+  }
+  void lane_append(Lane& lane, const HeapItem& item) {
+    if (lane.count == lane.ring.size()) grow_lane(lane);
+    lane.ring[(lane.head + lane.count) & (lane.ring.size() - 1)] = item;
+    ++lane.count;
+    ++lane_items_;
+    // Only a lane that was empty gets a new head.
+    if (lane.count == 1) lane_order_push(&lane);
+  }
+  /// The non-empty lane with the smallest head, or null.
+  [[nodiscard]] Lane* lane_min() const {
+    return active_lanes_ != 0 ? lane_order_[0] : nullptr;
+  }
+  /// Drop the head of lane_min().
+  void lane_pop_min() {
+    Lane& lane = *lane_order_[0];
+    lane.head = (lane.head + 1) & (lane.ring.size() - 1);
+    --lane.count;
+    --lane_items_;
+    if (lane.count != 0) {
+      lane_order_sift_down(&lane);
+    } else if (--active_lanes_ != 0) {
+      lane_order_sift_down(lane_order_[active_lanes_]);
+    }
+  }
+  // lane_order_ is a binary min-heap of the non-empty lanes by head key.
+  void lane_order_push(Lane* lane) {
+    std::size_t i = active_lanes_++;
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 2;
+      if (!lane->front().before(lane_order_[parent]->front())) break;
+      lane_order_[i] = lane_order_[parent];
+      i = parent;
+    }
+    lane_order_[i] = lane;
+  }
+  /// Place `lane` at the root and sift it down.
+  void lane_order_sift_down(Lane* lane) {
+    std::size_t i = 0;
+    for (;;) {
+      std::size_t c = 2 * i + 1;
+      if (c >= active_lanes_) break;
+      if (c + 1 < active_lanes_ &&
+          lane_order_[c + 1]->front().before(lane_order_[c]->front())) {
+        ++c;
+      }
+      if (!lane_order_[c]->front().before(lane->front())) break;
+      lane_order_[i] = lane_order_[c];
+      i = c;
+    }
+    lane_order_[i] = lane;
+  }
+  static void grow_lane(Lane& lane);
+
   void grow_pool();
   void release_slot(std::uint32_t slot);
   void heap_pop_root();
@@ -197,6 +295,10 @@ class Scheduler {
   void compact_tombstones();
 
   std::vector<HeapItem> heap_;  // flat 4-ary min-heap by (at, seq)
+  std::array<Lane, kLanes> lanes_;
+  std::array<Lane*, kLanes> lane_order_{};  // non-empty lanes, by head key
+  std::size_t active_lanes_ = 0;
+  std::size_t lane_items_ = 0;
   std::vector<std::unique_ptr<Record[]>> pool_;
   std::uint32_t pool_count_ = 0;
   std::uint32_t free_head_ = kNilSlot;

@@ -212,13 +212,23 @@ bool SchedulerModel::cancel(std::uint64_t id) {
 
 std::vector<std::uint64_t> SchedulerModel::run_until(sim::Time until) {
   std::vector<std::uint64_t> order;
-  while (!events_.empty() && events_.front().at <= until) {
-    now_ = events_.front().at;
-    order.push_back(events_.front().seq);
-    events_.erase(events_.begin());
+  while (const std::optional<std::uint64_t> id = step(until)) {
+    order.push_back(*id);
   }
-  if (until != sim::Time::max() && now_ < until) now_ = until;
+  finish_run(until);
   return order;
+}
+
+std::optional<std::uint64_t> SchedulerModel::step(sim::Time until) {
+  if (events_.empty() || events_.front().at > until) return std::nullopt;
+  now_ = events_.front().at;
+  const std::uint64_t id = events_.front().seq;
+  events_.erase(events_.begin());
+  return id;
+}
+
+void SchedulerModel::finish_run(sim::Time until) {
+  if (until != sim::Time::max() && now_ < until) now_ = until;
 }
 
 }  // namespace pet::testkit

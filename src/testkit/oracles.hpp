@@ -164,6 +164,12 @@ class SchedulerModel {
   bool cancel(std::uint64_t id);
   /// Executes due events; returns their ids in execution order.
   std::vector<std::uint64_t> run_until(sim::Time until);
+  /// Executes the next event if it is due by `until`: now() moves to its
+  /// time and its id is returned. One step of run_until, for callers that
+  /// act between events (schedule or cancel from inside a body).
+  std::optional<std::uint64_t> step(sim::Time until);
+  /// Ends a stepped run: now() lands on `until` unless that is Time::max().
+  void finish_run(sim::Time until);
 
   [[nodiscard]] sim::Time now() const { return now_; }
   [[nodiscard]] std::size_t pending() const { return events_.size(); }

@@ -134,6 +134,89 @@ TEST_F(NcmFixture, ThresholdCleanupBoundsFlowTable) {
   EXPECT_LE(ncm->tracked_flows(), 64u + 100u);
 }
 
+TEST_F(NcmFixture, FlowCleanupRescansOnlyWhileStaleEntriesRemain) {
+  NcmConfig cfg;
+  cfg.max_tracked_flows = 64;
+  build(cfg);
+  for (net::FlowId f = 0; f < 60; ++f) sw->receive(data_packet(1, 0, f), 1);
+  (void)ncm->sample();
+  (void)ncm->sample();  // slot 2: the 60 flows of slot 0 are stale
+  EXPECT_EQ(ncm->flow_cleanup_scans(), 0);
+  // The 65th entry triggers a scan that evicts 33 of the 60 stale flows
+  // (down to half the limit) and stops with 27 left.
+  for (net::FlowId f = 100; f < 105; ++f) sw->receive(data_packet(1, 0, f), 1);
+  EXPECT_EQ(ncm->flow_cleanup_scans(), 1);
+  EXPECT_EQ(ncm->tracked_flows(), 32u);
+  // Refilled past the limit, the table is scanned again and loses the last
+  // 27 stale flows; nothing else is evictable within this slot.
+  for (net::FlowId f = 105; f < 138; ++f) sw->receive(data_packet(1, 0, f), 1);
+  EXPECT_EQ(ncm->flow_cleanup_scans(), 2);
+  EXPECT_EQ(ncm->tracked_flows(), 38u);
+  // So the rest of the slot runs no further scan, however far the table
+  // grows past the limit.
+  for (net::FlowId f = 138; f < 300; ++f) sw->receive(data_packet(1, 0, f), 1);
+  EXPECT_EQ(ncm->flow_cleanup_scans(), 2);
+  EXPECT_EQ(ncm->tracked_flows(), 200u);
+  // A new slot clears the marker: two slots on, slot 2's flows are stale
+  // and the next arrival scans and evicts them.
+  (void)ncm->sample();
+  (void)ncm->sample();
+  sw->receive(data_packet(1, 0, 1000), 1);
+  EXPECT_EQ(ncm->flow_cleanup_scans(), 3);
+  EXPECT_EQ(ncm->tracked_flows(), 32u);
+}
+
+TEST(NcmThresholdCleanup, TightSlotsScanTheFlowTableOncePerSlot) {
+  // The traffic and tight limits of AllocSteady.NcmSteadySlotsAllocateNothing:
+  // about 220 distinct flows a slot against a limit of 64. The previous
+  // slot's flows are never stale, so the first scan of a slot evicts every
+  // stale entry there is and the slot's other packets, each over the limit,
+  // skip the scan.
+  sim::Scheduler sched;
+  net::Network net(sched, 1);
+  auto& sw = net.add_switch({});
+  net::PortConfig nic;
+  nic.rate = sim::gbps(100);
+  nic.propagation_delay = sim::nanoseconds(100);
+  constexpr std::int32_t kPorts = 8;
+  for (std::int32_t i = 0; i < kPorts; ++i) {
+    auto& h = net.add_host(nic);
+    net.connect(h.id(), sw.id(), nic.rate, nic.propagation_delay);
+  }
+  net.recompute_routes();
+  constexpr net::HostId kMaxHost = 150;
+  for (net::HostId d = 0; d <= kMaxHost; ++d) sw.set_routes(d, {d % kPorts});
+  NcmConfig cfg;
+  cfg.max_tracked_flows = 64;
+  cfg.max_tracked_dsts = 16;
+  Ncm ncm(sched, sw, cfg);
+
+  std::vector<net::Packet> slot_traffic;
+  sim::Rng rng(9);
+  for (int i = 0; i < 400; ++i) {
+    net::Packet pkt;
+    pkt.type = net::PacketType::kData;
+    pkt.flow_id = 1 + rng.uniform_int(300);
+    pkt.src = static_cast<net::HostId>(rng.uniform_int(kMaxHost + 1));
+    pkt.dst = static_cast<net::HostId>(rng.uniform_int(kMaxHost + 1));
+    pkt.size_bytes = pkt.payload_bytes = 200;
+    slot_traffic.push_back(pkt);
+  }
+  for (int slot = 0; slot < 20; ++slot) {
+    const std::int64_t before = ncm.flow_cleanup_scans();
+    std::size_t over_limit = 0;
+    for (const net::Packet& pkt : slot_traffic) {
+      sw.receive(pkt, pkt.src % kPorts);
+      over_limit += ncm.tracked_flows() > cfg.max_tracked_flows ? 1 : 0;
+    }
+    EXPECT_EQ(ncm.flow_cleanup_scans() - before, 1) << "slot " << slot;
+    // Without the skip, each of these packets would have rescanned.
+    EXPECT_GT(over_limit, 100u) << "slot " << slot;
+    sched.run_until(sched.now() + sim::microseconds(100));
+    EXPECT_GT(ncm.sample().flows_seen, 60);
+  }
+}
+
 TEST_F(NcmFixture, UtilizationReflectsBusiestPort) {
   build();
   // Keep egress toward host 0 saturated for a full window.

@@ -1,11 +1,16 @@
-// Differential oracle: sim::Scheduler (binary-heap event queue with
-// cancellation sets) vs the testkit's sorted-vector model, driven by
-// generated schedule/cancel/run interleavings. Execution order, cancel
-// results, now() and pending() must agree at every step.
+// Differential oracle: sim::Scheduler (4-ary heap plus FIFO delay lanes,
+// with tombstoned cancellation) vs the testkit's sorted-vector model, driven by
+// generated schedule/cancel/run interleavings, including ones issued from
+// inside running event bodies. Execution order, cancel results, now() and
+// pending() must agree at every step.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/scheduler.hpp"
@@ -137,6 +142,206 @@ PROPERTY_CASES(SchedulerOracle, CancelHeavyChurnAgreesWithModel, 2000,
   PROP_ASSERT_EQ(real_order, model_order);
   PROP_ASSERT_EQ(real.pending(), std::size_t{0});
   PROP_ASSERT_EQ(real.tombstones(), std::size_t{0});
+}
+
+// --- scheduling from inside event bodies --------------------------------
+//
+// A body schedules into the lanes or the heap while its own event has just
+// left one of them, cancels (possibly compacting both), or throws out of
+// run_until. These properties run
+// the model in lockstep with the real bodies: every real body first steps
+// the model, which must pick the same event, then applies its script to
+// both sides.
+
+// One body action: (selector, operand, delay_ps). Negative delays clamp to
+// 0, so about a quarter of body schedules land at the current time.
+using BodyAction = std::tuple<std::int64_t, std::int64_t, std::int64_t>;
+using Script = std::vector<BodyAction>;
+
+struct BodyThrow {};
+
+class LockstepHarness {
+ public:
+  explicit LockstepHarness(const std::vector<Script>& scripts)
+      : scripts_(scripts) {}
+
+  void schedule(sim::Time at) {
+    const std::size_t k = real_ids_.size();
+    real_ids_.push_back(real_.schedule_at(at, [this, k] { body(k); }));
+    model_ids_.push_back(model_.schedule_at(at));
+  }
+
+  void cancel(std::int64_t operand) {
+    if (real_ids_.empty()) return;
+    const std::size_t k = static_cast<std::size_t>(operand) % real_ids_.size();
+    PROP_ASSERT_EQ(real_.cancel(real_ids_[k]), model_.cancel(model_ids_[k]));
+  }
+
+  /// Runs both sides to `until`; a body that throws ends the run early on
+  /// both (the model stepped exactly as far as the real scheduler ran).
+  void run(sim::Time until) {
+    until_ = until;
+    try {
+      real_.run_until(until);
+    } catch (const BodyThrow&) {
+      check();
+      return;
+    }
+    PROP_ASSERT(!model_.step(until).has_value());  // nothing left due
+    model_.finish_run(until);
+    check();
+  }
+
+  void drain() {
+    for (int guard = 0; real_.pending() > 0; ++guard) {
+      PROP_ASSERT(guard < 100'000);
+      run(sim::Time::max());
+    }
+    PROP_ASSERT_EQ(model_.pending(), std::size_t{0});
+  }
+
+  void check() {
+    PROP_ASSERT_EQ(real_.now().ps(), model_.now().ps());
+    PROP_ASSERT_EQ(real_.pending(), model_.pending());
+    PROP_ASSERT_EQ(real_.executed(), executed_);
+    // The heap and the lanes hold the live events and the tombstones,
+    // nothing else.
+    PROP_ASSERT_EQ(real_.heap_size(), real_.pending() + real_.tombstones());
+    // Tombstones may lag cancels between compactions, but never exceed the
+    // live half of the heap plus the compaction threshold.
+    PROP_ASSERT(real_.heap_size() <= 2 * real_.pending() + 256);
+  }
+
+  [[nodiscard]] sim::Time now() const { return real_.now(); }
+
+ private:
+  static constexpr std::size_t kMaxEvents = 3000;  // bounds body fan-out
+
+  void body(std::size_t k) {
+    ++executed_;
+    const std::optional<std::uint64_t> next = model_.step(until_);
+    PROP_ASSERT(next.has_value());
+    PROP_ASSERT_EQ(*next, model_ids_[k]);  // same event, same order
+    check();
+    for (const auto& [sel, operand, delay_ps] : scripts_[k % scripts_.size()]) {
+      const sim::Time delay(std::max<std::int64_t>(0, delay_ps));
+      switch (sel % 7) {
+        case 0:
+        case 1:  // schedule one event (several actions: several events)
+          if (real_ids_.size() < kMaxEvents) schedule(now() + delay);
+          break;
+        case 2:  // cancel itself: already running, so stale on both sides
+          PROP_ASSERT_EQ(real_.cancel(real_ids_[k]),
+                         model_.cancel(model_ids_[k]));
+          break;
+        case 3:  // cancel any earlier event (pending, ran or cancelled)
+          cancel(operand);
+          break;
+        case 4: {  // schedule a far-future batch for a later body to cancel
+          if (real_ids_.size() >= kMaxEvents) break;
+          const std::size_t first = real_ids_.size();
+          const std::size_t n = 70 + static_cast<std::size_t>(operand % 200);
+          for (std::size_t i = 0; i < n; ++i) {
+            schedule(now() + sim::seconds(1) + delay +
+                     sim::Time(static_cast<std::int64_t>(i)));
+          }
+          batches_.emplace_back(first, first + n);
+          break;
+        }
+        case 5:  // cancel the newest batch: enough tombstones to compact
+                 // the heap and the lanes from inside a body
+          if (batches_.empty()) break;
+          for (std::size_t i = batches_.back().first;
+               i < batches_.back().second; ++i) {
+            cancel(static_cast<std::int64_t>(i));
+          }
+          batches_.pop_back();
+          break;
+        default:  // throw out of the body; the next run continues
+          if (operand % 3 == 0) throw BodyThrow{};
+          break;
+      }
+      check();
+    }
+  }
+
+  const std::vector<Script>& scripts_;
+  sim::Scheduler real_;
+  SchedulerModel model_;
+  std::vector<sim::EventId> real_ids_;  // k-th scheduled event
+  std::vector<std::uint64_t> model_ids_;
+  std::vector<std::pair<std::size_t, std::size_t>> batches_;  // [first, last)
+  std::uint64_t executed_ = 0;
+  sim::Time until_;
+};
+
+[[nodiscard]] Gen<std::vector<Script>> body_scripts() {
+  return vector_of(vector_of(tuple_of(integers(0, 6), integers(0, 1 << 20),
+                                      integers(-20'000, 60'000)),
+                             0, 5),
+                   1, 8);
+}
+
+PROPERTY_CASES(SchedulerOracle, BodiesThatScheduleCancelAndThrowAgreeWithModel,
+               1500, tuple_of(op_sequences(), body_scripts())) {
+  const auto& [ops, scripts] = arg;
+  LockstepHarness h(scripts);
+  for (const auto& [sel, operand, delay_ps] : ops) {
+    const std::int64_t kind = sel % 6;
+    if (kind <= 2) {
+      h.schedule(h.now() + sim::Time(delay_ps));
+    } else if (kind == 3) {
+      h.cancel(operand);
+    } else {
+      h.run(h.now() + sim::Time(delay_ps));
+    }
+    h.check();
+  }
+  h.drain();
+}
+
+// --- delay lanes ------------------------------------------------------------
+//
+// Keys scheduled the same delay ahead share a FIFO lane, and the run merges
+// the smallest lane head with the heap root. Delays come from a palette with
+// more values than there are lanes, so lanes fill, overflow to the heap,
+// drain and take a new delay; run steps on the same 500 ps grid make equal
+// times across lanes and the heap, which only insertion order may break.
+// Bodies schedule from the palette too, cancel and throw, and cancel-heavy
+// stretches compact tombstones out of the lanes.
+
+[[nodiscard]] Gen<std::int64_t> palette_delays() {
+  // 24 delays on the grid: more than the lanes, and few enough to repeat.
+  std::vector<std::int64_t> delays;
+  for (std::int64_t d = 0; d < 24; ++d) delays.push_back(500 * d);
+  return element_of(std::move(delays));
+}
+
+PROPERTY_CASES(SchedulerOracle, RepeatedDelaysShareLanesAndAgreeWithModel,
+               1500,
+               tuple_of(vector_of(tuple_of(integers(0, 9),
+                                           integers(0, 1 << 20),
+                                           palette_delays()),
+                                  1, 400),
+                        vector_of(vector_of(tuple_of(integers(0, 6),
+                                                     integers(0, 1 << 20),
+                                                     palette_delays()),
+                                            0, 5),
+                                  1, 8))) {
+  const auto& [ops, scripts] = arg;
+  LockstepHarness h(scripts);
+  for (const auto& [sel, operand, delay_ps] : ops) {
+    const std::int64_t kind = sel % 10;
+    if (kind <= 4) {
+      h.schedule(h.now() + sim::Time(delay_ps));
+    } else if (kind <= 7) {
+      h.cancel(operand);
+    } else {
+      h.run(h.now() + sim::Time(delay_ps));
+    }
+    h.check();
+  }
+  h.drain();
 }
 
 PROPERTY_CASES(SchedulerOracle, TiesExecuteInInsertionOrder, 2000,

@@ -12,7 +12,7 @@ class TestDevice : public Device {
  public:
   TestDevice(sim::Scheduler& sched, DeviceId id) : Device(sched, id, "test") {}
 
-  void receive(Packet pkt, std::int32_t in_port) override {
+  void receive(const Packet& pkt, std::int32_t in_port) override {
     received.push_back({pkt, in_port});
   }
   void on_packet_departed(std::int32_t /*port*/,

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 namespace pet::sim {
 namespace {
@@ -52,6 +54,43 @@ TEST(Rng, UniformIntCoversAllValues) {
   std::set<std::uint64_t> seen;
   for (int i = 0; i < 1000; ++i) seen.insert(rng.uniform_int(8));
   EXPECT_EQ(seen.size(), 8u);
+}
+
+// The rejection rule uniform_int had before it skipped the threshold
+// division for draws r >= n: accept r >= 2^64 mod n, return r % n.
+std::uint64_t uniform_int_two_divisions(Rng& rng, std::uint64_t n) {
+  const std::uint64_t threshold = -n % n;
+  for (;;) {
+    const std::uint64_t r = rng();
+    if (r >= threshold) return r % n;
+  }
+}
+
+TEST(Rng, UniformIntMatchesTwoDivisionRule) {
+  std::vector<std::uint64_t> ns = {1, 2, 3, 5, 7, 1000, 65'536, 65'537};
+  for (int k = 0; k < 64; ++k) ns.push_back(std::uint64_t{1} << k);
+  const std::uint64_t top = std::uint64_t{1} << 63;
+  // 2^63 + 1 rejects about half of all draws; near 2^64 - 1 almost every
+  // draw is below n and takes the threshold division.
+  for (const std::uint64_t n : {top - 1, top, top + 1, top + 3, ~std::uint64_t{0},
+                                ~std::uint64_t{0} - 1}) {
+    ns.push_back(n);
+  }
+  Rng pick(99);
+  for (int i = 0; i < 200; ++i) {
+    const std::uint64_t shift = pick() % 64;
+    ns.push_back(1 + (pick() >> shift));
+  }
+  for (const std::uint64_t n : ns) {
+    Rng now(n ^ 0x5eed);
+    Rng before(n ^ 0x5eed);
+    for (int d = 0; d < 500; ++d) {
+      ASSERT_EQ(now.uniform_int(n), uniform_int_two_divisions(before, n))
+          << "n=" << n << " draw " << d;
+    }
+    // Both consumed the same raw draws.
+    ASSERT_EQ(now(), before()) << "n=" << n;
+  }
 }
 
 TEST(Rng, UniformMeanCloseToHalf) {

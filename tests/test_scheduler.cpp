@@ -33,6 +33,28 @@ TEST(Scheduler, TiesBreakByInsertionOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
+TEST(Scheduler, EqualTimesThroughDifferentDelaysRunInScheduleOrder) {
+  // Keys scheduled the same delay ahead share a FIFO lane. Here 40 delays
+  // (more than there are lanes, so many keys go to the heap) each reach
+  // t = 1 us from a different now(), two keys per delay; the 80 events
+  // must still run in the order they were scheduled.
+  Scheduler sched;
+  std::vector<int> order;
+  for (int step = 0; step < 40; ++step) {
+    sched.schedule_at(nanoseconds(10 * step), [&, step] {
+      const Time delay = nanoseconds(1000 - 10 * step);
+      for (int i = 0; i < 2; ++i) {
+        const int id = 2 * step + i;
+        sched.schedule_in(delay, [&order, id] { order.push_back(id); });
+      }
+    });
+  }
+  sched.run_all();
+  ASSERT_EQ(order.size(), 80u);
+  for (int id = 0; id < 80; ++id) EXPECT_EQ(order[id], id);
+  EXPECT_EQ(sched.now(), microseconds(1));
+}
+
 TEST(Scheduler, NowAdvancesToEventTime) {
   Scheduler sched;
   Time seen;
