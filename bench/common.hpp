@@ -1,22 +1,18 @@
 #pragma once
-// Shared bench configuration. Every experiment binary accepts:
-//   --quick          smaller fabric / shorter runs (CI smoke)
-//   --scale=paper    the paper's 288-host fabric (slow; hours on one core)
-//   --seed=N         scenario seed
-//   --artifact=PATH  where to write the machine-readable run artifact
-//                    (default BENCH_<name>.json in the working directory)
-//   --trace=PATH     also export a chrome://tracing timeline of the last
-//                    instrumented run
-// No arguments reproduces the default scaled-down experiment.
+// Shared bench configuration. Every experiment binary takes the flags
+// parse_options() registers (--help lists them); no arguments reproduces
+// the default scaled-down experiment.
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "exp/experiment.hpp"
 #include "exp/experiment_builder.hpp"
+#include "exp/flags.hpp"
 #include "exp/pretrain.hpp"
 #include "exp/run_artifact.hpp"
 #include "exp/table.hpp"
@@ -35,29 +31,21 @@ struct BenchOptions {
 };
 
 inline BenchOptions parse_options(int argc, char** argv) {
+  static constexpr std::array<exp::Choice<bool>, 1> kScale{{{"paper", true}}};
   BenchOptions opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      opt.quick = true;
-    } else if (arg == "--scale=paper") {
-      opt.paper_scale = true;
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      opt.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-    } else if (arg.rfind("--artifact=", 0) == 0) {
-      opt.artifact_path = arg.substr(11);
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      opt.trace_path = arg.substr(8);
-    } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: %s [--quick] [--scale=paper] [--seed=N] [--artifact=PATH] "
-          "[--trace=PATH]\n",
-          argv[0]);
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      std::exit(2);
-    }
+  exp::FlagSet flags(argv[0]);
+  flags.toggle("--quick", &opt.quick, true,
+               "smaller fabric / shorter runs (CI smoke)")
+      .choice("--scale", &opt.paper_scale, kScale,
+              "the paper's 288-host fabric (slow; hours on one core)")
+      .value("--seed=N", &opt.seed, "scenario seed")
+      .value("--artifact=PATH", &opt.artifact_path,
+             "run artifact (default BENCH_<name>.json)")
+      .value("--trace=PATH", &opt.trace_path,
+             "also export a chrome://tracing timeline of the last run");
+  if (const exp::FlagSet::Outcome r = flags.parse(argc, argv); r.exit_code) {
+    std::fputs(r.message.c_str(), *r.exit_code == 0 ? stdout : stderr);
+    std::exit(*r.exit_code);
   }
   return opt;
 }
@@ -78,21 +66,16 @@ inline exp::ExperimentBuilder make_scenario(const BenchOptions& opt,
         .phases(sim::milliseconds(100), sim::milliseconds(100))
         .incast(32, 32 * 1024, sim::milliseconds(1));
   } else if (opt.quick) {
-    topo.num_spines = 2;
-    topo.num_leaves = 2;
-    topo.hosts_per_leaf = 8;
+    topo.num_leaves = 2;  // 2 spines, 2 leaves x 8 hosts
     builder.flow_size_cap(4e6)
         .phases(sim::milliseconds(15), sim::milliseconds(15))
         .incast(8, 32 * 1024, sim::milliseconds(1));
-  } else {
-    topo.num_spines = 2;
-    topo.num_leaves = 4;
-    topo.hosts_per_leaf = 8;
+  } else {  // the default 2 spines, 4 leaves x 8 hosts
     builder.flow_size_cap(8e6)
         .phases(sim::milliseconds(40), sim::milliseconds(40))
         .incast(8, 32 * 1024, sim::milliseconds(1));
   }
-  builder.topology(net::TopologySpec(topo));
+  builder.topology(topo);
   return builder;
 }
 

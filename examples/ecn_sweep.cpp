@@ -6,8 +6,8 @@
 //
 //   ./ecn_sweep [load] [measure_ms]
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -15,12 +15,20 @@
 #include "core/ncm.hpp"
 #include "core/reward.hpp"
 #include "exp/experiment_builder.hpp"
+#include "exp/flags.hpp"
 #include "exp/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace pet;
-  const double load = argc > 1 ? std::atof(argv[1]) : 0.6;
-  const std::int64_t measure_ms = argc > 2 ? std::atoll(argv[2]) : 30;
+  double load = 0.6;
+  std::int64_t measure_ms = 30;
+  exp::FlagSet flags(argv[0]);
+  flags.value("load", &load, "fraction of host bandwidth")
+      .value("measure_ms", &measure_ms, "measurement window in ms");
+  if (const exp::FlagSet::Outcome r = flags.parse(argc, argv); r.exit_code) {
+    std::fputs(r.message.c_str(), *r.exit_code == 0 ? stdout : stderr);
+    return *r.exit_code;
+  }
 
   struct Point {
     std::int64_t kmin_kb;
@@ -40,16 +48,12 @@ int main(int argc, char** argv) {
                     "ncm util", "ncm reward"});
 
   for (const Point& p : grid) {
-    net::LeafSpineConfig topo;
-    topo.num_spines = 2;
-    topo.num_leaves = 4;
-    topo.hosts_per_leaf = 8;
     auto experiment_ptr =
         exp::ExperimentBuilder{}
             .scheme(exp::Scheme::kSecn1)  // static; thresholds overridden below
             .workload(workload::WorkloadKind::kWebSearch)
             .load(load)
-            .topology(net::TopologySpec(topo))
+            .topology(net::LeafSpineConfig{})  // 2 spines, 4 leaves x 8 hosts
             .flow_size_cap(8e6)
             .phases(sim::milliseconds(5), sim::milliseconds(measure_ms))
             .tuned_dcqcn()

@@ -5,17 +5,25 @@
 //
 //   ./incast_scenario [fan_in] [request_kb]
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 
 #include "exp/experiment_builder.hpp"
+#include "exp/flags.hpp"
 #include "exp/pretrain.hpp"
 #include "exp/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace pet;
-  const std::int32_t fan_in = argc > 1 ? std::atoi(argv[1]) : 12;
-  const std::int64_t request_kb = argc > 2 ? std::atoll(argv[2]) : 64;
+  std::int32_t fan_in = 12;
+  std::int64_t request_kb = 64;
+  exp::FlagSet flags(argv[0]);
+  flags.value("fan_in", &fan_in, "senders per incast burst")
+      .value("request_kb", &request_kb, "KB each sender answers");
+  if (const exp::FlagSet::Outcome r = flags.parse(argc, argv); r.exit_code) {
+    std::fputs(r.message.c_str(), *r.exit_code == 0 ? stdout : stderr);
+    return *r.exit_code;
+  }
 
   std::printf("Incast scenario: fan-in %d, %lld KB per response\n\n", fan_in,
               static_cast<long long>(request_kb));
@@ -25,15 +33,11 @@ int main(int argc, char** argv) {
 
   for (const exp::Scheme scheme :
        {exp::Scheme::kSecn2, exp::Scheme::kSecn1, exp::Scheme::kPet}) {
-    net::LeafSpineConfig topo;
-    topo.num_spines = 2;
-    topo.num_leaves = 4;
-    topo.hosts_per_leaf = 8;
     exp::ExperimentBuilder builder;
     builder.scheme(scheme)
         .workload(workload::WorkloadKind::kWebSearch)
         .load(0.2)  // light background; incast dominates
-        .topology(net::TopologySpec(topo))
+        .topology(net::LeafSpineConfig{})  // 2 spines, 4 leaves x 8 hosts
         .incast(fan_in, request_kb * 1024, sim::microseconds(800))
         .flow_size_cap(2e6)
         .phases(sim::milliseconds(30), sim::milliseconds(30))

@@ -6,33 +6,36 @@
 //   ./multiqueue_separation [load]
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "core/multiqueue.hpp"
 #include "exp/experiment_builder.hpp"
+#include "exp/flags.hpp"
 #include "exp/table.hpp"
 #include "net/classifier.hpp"
 
 int main(int argc, char** argv) {
   using namespace pet;
-  const double load = argc > 1 ? std::atof(argv[1]) : 0.6;
+  double load = 0.6;
+  exp::FlagSet flags(argv[0]);
+  flags.value("load", &load, "fraction of host bandwidth");
+  if (const exp::FlagSet::Outcome r = flags.parse(argc, argv); r.exit_code) {
+    std::fputs(r.message.c_str(), *r.exit_code == 0 ? stdout : stderr);
+    return *r.exit_code;
+  }
 
   exp::Table table({"deployment", "mice avg FCT", "mice p99 FCT",
                     "elephant avg FCT", "queue avg"});
 
   for (const bool multiqueue : {false, true}) {
-    net::LeafSpineConfig topo;
-    topo.num_spines = 2;
-    topo.num_leaves = 4;
-    topo.hosts_per_leaf = 8;
+    net::LeafSpineConfig topo;  // 2 spines, 4 leaves x 8 hosts
     topo.switch_cfg.num_data_queues = multiqueue ? 2 : 1;
     auto experiment_ptr =
         exp::ExperimentBuilder{}
             .scheme(exp::Scheme::kSecn1)  // static placeholder; agents below
             .workload(workload::WorkloadKind::kWebSearch)
             .load(load)
-            .topology(net::TopologySpec(topo))
+            .topology(topo)
             .flow_size_cap(8e6)
             .phases(sim::milliseconds(40), sim::milliseconds(40))
             .tuned_dcqcn()

@@ -6,25 +6,27 @@
 //   ./online_adaptation [load]
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "exp/experiment_builder.hpp"
+#include "exp/flags.hpp"
 #include "exp/pretrain.hpp"
 #include "exp/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace pet;
-  const double load = argc > 1 ? std::atof(argv[1]) : 0.5;
+  double load = 0.5;
+  exp::FlagSet flags(argv[0]);
+  flags.value("load", &load, "fraction of host bandwidth");
+  if (const exp::FlagSet::Outcome r = flags.parse(argc, argv); r.exit_code) {
+    std::fputs(r.message.c_str(), *r.exit_code == 0 ? stdout : stderr);
+    return *r.exit_code;
+  }
 
-  net::LeafSpineConfig topo;
-  topo.num_spines = 2;
-  topo.num_leaves = 4;
-  topo.hosts_per_leaf = 8;
   exp::ExperimentBuilder builder;
   builder.scheme(exp::Scheme::kPet)
       .workload(workload::WorkloadKind::kWebSearch)
       .load(load)
-      .topology(net::TopologySpec(topo))
+      .topology(net::LeafSpineConfig{})  // 2 spines, 4 leaves x 8 hosts
       .flow_size_cap(8e6)
       .pretrain(sim::milliseconds(20))
       .tuned_dcqcn();

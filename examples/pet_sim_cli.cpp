@@ -15,11 +15,10 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <stdexcept>
 #include <string>
 
-#include "exp/experiment_builder.hpp"
+#include "exp/flags.hpp"
 #include "exp/pretrain.hpp"
 #include "exp/replica_runner.hpp"
 #include "exp/run_artifact.hpp"
@@ -39,195 +38,39 @@ struct CliOptions {
   exp::Scheme scheme = exp::Scheme::kPet;
   workload::WorkloadKind workload = workload::WorkloadKind::kWebSearch;
   double load = 0.6;
-  // Topology family (net::TopologySpec). leaf-spine reads --spines/--leaves/
-  // --hosts-per-leaf; fat-tree reads --k/--hosts-per-edge; inter-dc joins two
-  // identical leaf-spine DCs over --border-links WAN links of --wan-delay-us.
-  std::string topo_kind = "leaf-spine";
-  std::int32_t spines = 2;
-  std::int32_t leaves = 4;
-  std::int32_t hosts_per_leaf = 8;
-  std::int32_t fat_tree_k = 4;
-  std::int32_t hosts_per_edge = 0;  // 0 = canonical k/2
-  std::int32_t border_links = 1;
-  std::int64_t wan_delay_us = 1000;
-  std::int64_t pretrain_ms = 40;
-  std::int64_t measure_ms = 40;
+  net::TopologySpec::Kind topo = net::TopologySpec::Kind::kLeafSpine;
   std::uint64_t seed = 1;
-  rl::InferMode infer = rl::InferMode::kDirect;
-  bool incast = true;
+  exp::ScenarioFlags shared;
   bool use_pretrain_cache = true;
   std::string telemetry_path;
   std::string artifact_path;
   std::string trace_path;
-  // Training mode (PET schemes only).
-  std::int32_t train_episodes = 0;
-  std::int32_t replicas = 2;
   std::int32_t train_threads = 0;
   std::string checkpoint_path;
-  std::int32_t checkpoint_every = 1;
-  bool resume = false;
 };
 
-[[noreturn]] void usage(const char* argv0, int code) {
-  std::printf(
-      "usage: %s [options]\n"
-      "  --scheme=secn1|secn2|amt|qaecn|acc|pet|pet-ablation\n"
-      "  --workload=websearch|datamining\n"
-      "  --load=F           fraction of host bandwidth (default 0.6)\n"
-      "  --topo=leaf-spine|fat-tree|inter-dc  fabric family\n"
-      "  --spines=N --leaves=N --hosts-per-leaf=N   (leaf-spine / inter-dc)\n"
-      "  --k=N --hosts-per-edge=N                   (fat-tree; 0 = k/2)\n"
-      "  --border-links=N --wan-delay-us=N          (inter-dc)\n"
-      "  --pretrain-ms=N --measure-ms=N --seed=N\n"
-      "  --infer=direct|fp64|fp32|int8  PET deployment-decision serving:\n"
-      "                     direct = per-agent fp64 (default); others route\n"
-      "                     decisions through the batched policy server\n"
-      "                     (fp64 serving is bitwise identical to direct)\n"
-      "  --telemetry=PATH   write per-switch time series CSV\n"
-      "  --artifact=PATH    write a machine-readable run artifact (JSON)\n"
-      "  --trace=PATH       write a chrome://tracing timeline (JSON)\n"
-      "  --no-incast        disable the incast generator\n"
-      "  --no-pretrain-cache  train learning schemes inline (slow)\n"
-      "  --train-episodes=N run N ReplicaRunner episodes (PET schemes)\n"
-      "  --replicas=N       replicas per training episode (default 2)\n"
-      "  --train-threads=N  replica worker threads (0 = auto)\n"
-      "  --checkpoint=PATH  durable training checkpoint file\n"
-      "  --checkpoint-every=N  checkpoint cadence in episodes (default 1)\n"
-      "  --resume           continue from --checkpoint if it exists\n",
-      argv0);
-  std::exit(code);
-}
-
-exp::Scheme parse_scheme(const std::string& name, const char* argv0) {
-  if (name == "secn1") return exp::Scheme::kSecn1;
-  if (name == "secn2") return exp::Scheme::kSecn2;
-  if (name == "amt") return exp::Scheme::kAmt;
-  if (name == "qaecn") return exp::Scheme::kQaecn;
-  if (name == "acc") return exp::Scheme::kAcc;
-  if (name == "pet") return exp::Scheme::kPet;
-  if (name == "pet-ablation") return exp::Scheme::kPetAblation;
-  std::fprintf(stderr, "unknown scheme: %s\n", name.c_str());
-  usage(argv0, 2);
-}
-
-rl::InferMode parse_infer(const std::string& name, const char* argv0) {
-  if (name == "direct") return rl::InferMode::kDirect;
-  if (name == "fp64") return rl::InferMode::kFp64;
-  if (name == "fp32") return rl::InferMode::kFp32;
-  if (name == "int8") return rl::InferMode::kInt8;
-  std::fprintf(stderr, "unknown infer mode: %s\n", name.c_str());
-  usage(argv0, 2);
-}
-
-CliOptions parse(int argc, char** argv) {
-  CliOptions opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&](const char* prefix) -> const char* {
-      return arg.c_str() + std::strlen(prefix);
-    };
-    if (arg.rfind("--scheme=", 0) == 0) {
-      opt.scheme = parse_scheme(value("--scheme="), argv[0]);
-    } else if (arg.rfind("--workload=", 0) == 0) {
-      const std::string w = value("--workload=");
-      if (w == "websearch") {
-        opt.workload = workload::WorkloadKind::kWebSearch;
-      } else if (w == "datamining") {
-        opt.workload = workload::WorkloadKind::kDataMining;
-      } else {
-        std::fprintf(stderr, "unknown workload: %s\n", w.c_str());
-        usage(argv[0], 2);
-      }
-    } else if (arg.rfind("--load=", 0) == 0) {
-      opt.load = std::atof(value("--load="));
-    } else if (arg.rfind("--topo=", 0) == 0) {
-      opt.topo_kind = value("--topo=");
-    } else if (arg.rfind("--spines=", 0) == 0) {
-      opt.spines = std::atoi(value("--spines="));
-    } else if (arg.rfind("--leaves=", 0) == 0) {
-      opt.leaves = std::atoi(value("--leaves="));
-    } else if (arg.rfind("--hosts-per-leaf=", 0) == 0) {
-      opt.hosts_per_leaf = std::atoi(value("--hosts-per-leaf="));
-    } else if (arg.rfind("--k=", 0) == 0) {
-      opt.fat_tree_k = std::atoi(value("--k="));
-    } else if (arg.rfind("--hosts-per-edge=", 0) == 0) {
-      opt.hosts_per_edge = std::atoi(value("--hosts-per-edge="));
-    } else if (arg.rfind("--border-links=", 0) == 0) {
-      opt.border_links = std::atoi(value("--border-links="));
-    } else if (arg.rfind("--wan-delay-us=", 0) == 0) {
-      opt.wan_delay_us = std::atoll(value("--wan-delay-us="));
-    } else if (arg.rfind("--pretrain-ms=", 0) == 0) {
-      opt.pretrain_ms = std::atoll(value("--pretrain-ms="));
-    } else if (arg.rfind("--measure-ms=", 0) == 0) {
-      opt.measure_ms = std::atoll(value("--measure-ms="));
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      opt.seed = std::strtoull(value("--seed="), nullptr, 10);
-    } else if (arg.rfind("--infer=", 0) == 0) {
-      opt.infer = parse_infer(value("--infer="), argv[0]);
-    } else if (arg.rfind("--telemetry=", 0) == 0) {
-      opt.telemetry_path = value("--telemetry=");
-    } else if (arg.rfind("--artifact=", 0) == 0) {
-      opt.artifact_path = value("--artifact=");
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      opt.trace_path = value("--trace=");
-    } else if (arg == "--no-incast") {
-      opt.incast = false;
-    } else if (arg == "--no-pretrain-cache") {
-      opt.use_pretrain_cache = false;
-    } else if (arg.rfind("--train-episodes=", 0) == 0) {
-      opt.train_episodes = std::atoi(value("--train-episodes="));
-    } else if (arg.rfind("--replicas=", 0) == 0) {
-      opt.replicas = std::atoi(value("--replicas="));
-    } else if (arg.rfind("--train-threads=", 0) == 0) {
-      opt.train_threads = std::atoi(value("--train-threads="));
-    } else if (arg.rfind("--checkpoint=", 0) == 0) {
-      opt.checkpoint_path = value("--checkpoint=");
-    } else if (arg.rfind("--checkpoint-every=", 0) == 0) {
-      opt.checkpoint_every = std::atoi(value("--checkpoint-every="));
-    } else if (arg == "--resume") {
-      opt.resume = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0], 0);
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-      usage(argv[0], 2);
-    }
-  }
-  if (opt.load <= 0.0 || opt.measure_ms < 1) {
-    std::fprintf(stderr, "invalid scenario parameters\n");
-    usage(argv[0], 2);
-  }
-  if (opt.topo_kind != "fat-tree" &&
-      (opt.spines < 1 || opt.leaves < 1 || opt.hosts_per_leaf < 2)) {
-    std::fprintf(stderr, "invalid scenario parameters\n");
-    usage(argv[0], 2);
-  }
-  return opt;
-}
-
-/// The TopologySpec the CLI flags describe (validated again by the builder).
-net::TopologySpec make_topology(const CliOptions& opt, const char* argv0) {
-  net::LeafSpineConfig ls;
-  ls.num_spines = opt.spines;
-  ls.num_leaves = opt.leaves;
-  ls.hosts_per_leaf = opt.hosts_per_leaf;
-  if (opt.topo_kind == "leaf-spine") return net::TopologySpec(ls);
-  if (opt.topo_kind == "fat-tree") {
-    net::FatTreeSpec ft;
-    ft.k = opt.fat_tree_k;
-    ft.hosts_per_edge = opt.hosts_per_edge;
-    return net::TopologySpec(ft);
-  }
-  if (opt.topo_kind == "inter-dc") {
-    net::InterDcSpec idc;
-    idc.dc_a = ls;
-    idc.dc_b = ls;
-    idc.border_links = opt.border_links;
-    idc.wan_delay = sim::microseconds(opt.wan_delay_us);
-    return net::TopologySpec(idc);
-  }
-  std::fprintf(stderr, "unknown topology: %s\n", opt.topo_kind.c_str());
-  usage(argv0, 2);
+exp::FlagSet make_flags(const char* argv0, CliOptions& opt) {
+  exp::FlagSet flags(argv0);
+  flags.choice("--scheme", &opt.scheme, exp::kSchemeNames, "ECN scheme")
+      .choice("--workload", &opt.workload, exp::kWorkloadNames,
+              "background flow-size distribution")
+      .value("--load=F", &opt.load, "fraction of host bandwidth")
+      .choice("--topo", &opt.topo, exp::kTopologyNames, "fabric family")
+      .value("--seed=N", &opt.seed, "scenario seed");
+  opt.shared.add_to(flags);
+  flags.value("--telemetry=PATH", &opt.telemetry_path,
+              "write per-switch time series CSV")
+      .value("--artifact=PATH", &opt.artifact_path,
+             "write a machine-readable run artifact (JSON)")
+      .value("--trace=PATH", &opt.trace_path,
+             "write a chrome://tracing timeline (JSON)")
+      .toggle("--no-pretrain-cache", &opt.use_pretrain_cache, false,
+              "train learning schemes inline (slow)")
+      .value("--train-threads=N", &opt.train_threads,
+             "replica worker threads (0 = auto)")
+      .value("--checkpoint=PATH", &opt.checkpoint_path,
+             "durable training checkpoint file");
+  return flags;
 }
 
 /// Training mode: ReplicaRunner episodes with durable checkpoints. SIGINT/
@@ -240,12 +83,12 @@ int run_training(const CliOptions& opt, const exp::ScenarioConfig& cfg) {
     return 2;
   }
   exp::ReplicaRunnerConfig rr;
-  rr.replicas = opt.replicas;
+  rr.replicas = opt.shared.replicas;
   rr.threads = opt.train_threads;
-  rr.episodes = opt.train_episodes;
+  rr.episodes = opt.shared.train_episodes;
   exp::ReplicaRunner runner(cfg, rr);
 
-  if (opt.resume && !opt.checkpoint_path.empty()) {
+  if (opt.shared.resume && !opt.checkpoint_path.empty()) {
     std::string error;
     if (runner.load_checkpoint(opt.checkpoint_path, &error)) {
       std::printf("resumed from %s at episode %d\n",
@@ -268,7 +111,8 @@ int run_training(const CliOptions& opt, const exp::ScenarioConfig& cfg) {
   };
 
   bool interrupted = false;
-  while (runner.next_episode() < opt.train_episodes) {
+  const exp::ScenarioFlags& sh = opt.shared;
+  while (runner.next_episode() < sh.train_episodes) {
     if (g_stop != 0) {
       interrupted = true;
       break;
@@ -277,8 +121,8 @@ int run_training(const CliOptions& opt, const exp::ScenarioConfig& cfg) {
     std::printf("episode %d: reward %.3f over %zu transitions\n", st.episode,
                 st.mean_reward, st.transitions);
     const std::int32_t done = runner.next_episode();
-    if (opt.checkpoint_every > 0 && (done % opt.checkpoint_every == 0 ||
-                                     done == opt.train_episodes)) {
+    if (sh.checkpoint_every > 0 && (done % sh.checkpoint_every == 0 ||
+                                    done == sh.train_episodes)) {
       save();
     }
   }
@@ -313,38 +157,40 @@ int run_training(const CliOptions& opt, const exp::ScenarioConfig& cfg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliOptions opt = parse(argc, argv);
+  CliOptions opt;
+  const exp::FlagSet flags = make_flags(argv[0], opt);
+  if (const exp::FlagSet::Outcome r = flags.parse(argc, argv); r.exit_code) {
+    std::fputs(r.message.c_str(), *r.exit_code == 0 ? stdout : stderr);
+    return *r.exit_code;
+  }
   std::signal(SIGINT, handle_stop_signal);
   std::signal(SIGTERM, handle_stop_signal);
 
-  const net::TopologySpec topo = make_topology(opt, argv[0]);
-  exp::ExperimentBuilder builder;
+  exp::ExperimentBuilder builder = opt.shared.builder(opt.topo);
   builder.scheme(opt.scheme)
       .workload(opt.workload)
       .load(opt.load)
-      .topology(topo)
-      .flow_size_cap(8e6)
-      .phases(sim::milliseconds(opt.pretrain_ms),
-              sim::milliseconds(opt.measure_ms))
-      .incast(opt.incast)
       .seed(opt.seed)
-      .infer(opt.infer)
-      .profiling(!opt.artifact_path.empty() || !opt.trace_path.empty())
-      .tuned_dcqcn();
-
-  if (opt.train_episodes > 0) return run_training(opt, builder.config());
+      .profiling(!opt.artifact_path.empty() || !opt.trace_path.empty());
+  const exp::ScenarioConfig scenario = builder.config();
+  try {
+    scenario.validate();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
+  if (opt.shared.train_episodes > 0) return run_training(opt, scenario);
 
   std::vector<double> weights;
   if (opt.use_pretrain_cache && exp::is_learning_scheme(opt.scheme)) {
-    weights = exp::pretrained_weights_cached(builder.config(),
-                                             exp::PretrainOptions{});
+    weights = exp::pretrained_weights_cached(scenario, exp::PretrainOptions{});
     builder.expects_pretrained(!weights.empty()).pretrain_lr_boost(1.0);
   }
 
   std::printf("pet_sim: %s on %s, %s fabric, %d hosts, load %.0f%%, seed %llu\n",
               exp::scheme_name(opt.scheme),
               workload::workload_name(opt.workload),
-              std::string(topo.kind_name()).c_str(), topo.num_hosts(),
+              scenario.topo.kind_name(), scenario.topo.num_hosts(),
               opt.load * 100, static_cast<unsigned long long>(opt.seed));
 
   auto experiment_ptr = builder.build();

@@ -4,14 +4,24 @@
 //
 //   ./quickstart [load] [measure_ms]
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 
 #include "exp/experiment_builder.hpp"
+#include "exp/flags.hpp"
 #include "exp/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace pet;
+  double load = 0.5;
+  std::int64_t measure_ms = 20;
+  exp::FlagSet flags(argv[0]);
+  flags.value("load", &load, "fraction of host bandwidth")
+      .value("measure_ms", &measure_ms, "measurement window in ms");
+  if (const exp::FlagSet::Outcome r = flags.parse(argc, argv); r.exit_code) {
+    std::fputs(r.message.c_str(), *r.exit_code == 0 ? stdout : stderr);
+    return *r.exit_code;
+  }
 
   net::LeafSpineConfig topo;
   topo.num_spines = 2;
@@ -22,9 +32,8 @@ int main(int argc, char** argv) {
       exp::ExperimentBuilder{}
           .scheme(exp::Scheme::kPet)
           .workload(workload::WorkloadKind::kWebSearch)
-          .load(argc > 1 ? std::atof(argv[1]) : 0.5)
-          .phases(sim::milliseconds(10),
-                  sim::milliseconds(argc > 2 ? std::atoll(argv[2]) : 20))
+          .load(load)
+          .phases(sim::milliseconds(10), sim::milliseconds(measure_ms))
           .topology(net::TopologySpec(topo))
           .tuned_dcqcn()
           .build();

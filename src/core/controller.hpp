@@ -34,8 +34,9 @@ struct PetControllerConfig {
   /// fp64 path; any other mode routes greedy decisions for all deployed
   /// agents through one batched rl::PolicyServer at the chosen precision
   /// (requires shared_policy — the server snapshots one policy). kFp64
-  /// serving is bitwise identical to kDirect; kFp32/kInt8 trade bounded
-  /// action divergence for throughput (see DESIGN.md "Fast Inference Path").
+  /// serving is bitwise identical to kDirect over the same shared policy;
+  /// kFp32/kInt8 trade bounded action divergence for throughput (see
+  /// DESIGN.md "Fast Inference Path").
   rl::InferMode infer = rl::InferMode::kDirect;
   /// First tick fires one tuning interval after start().
   sim::Time start_delay = sim::Time::zero();

@@ -102,7 +102,8 @@ class PetAgent {
   /// Apply the deployment-mode residual exploration to a greedy decision,
   /// in place. Both the policy-server path and the sequential deployment
   /// branch of tick_complete() call it, so a fp64-served run draws the same
-  /// RNG sequence and is bitwise identical to the direct path.
+  /// RNG sequence and is bitwise identical to the direct path over the same
+  /// shared policy.
   void apply_serve_exploration(std::span<std::int32_t> actions, double explore);
 
   /// Phase 2 (sequential path): everything after tick_observe().

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "core/guardrails.hpp"
 #include "core/pet_agent.hpp"
@@ -19,7 +21,45 @@ void ScenarioConfig::tune_dcqcn_for_rate() {
   dcqcn.increase_timer = sim::microseconds(300);
 }
 
+void ScenarioConfig::validate() const {
+  topo.validate();
+  struct Check {
+    bool ok;
+    const char* field;
+    const char* why;
+  };
+  const Check checks[] = {
+      {topo.num_hosts() >= 2, "topo", "needs at least 2 hosts"},
+      {load > 0.0 && load <= 1.0, "load", "must be in (0, 1]"},
+      {flow_size_cap_bytes >= 0.0, "flow_size_cap_bytes",
+       "must be >= 0 (0 disables truncation)"},
+      {!incast_enabled || incast_fan_in >= 1, "incast_fan_in", "must be >= 1"},
+      {!incast_enabled || incast_request_bytes >= 1, "incast_request_bytes",
+       "must be >= 1"},
+      {!incast_enabled || incast_period > sim::Time::zero(), "incast_period",
+       "must be positive"},
+      {pretrain >= sim::Time::zero(), "pretrain", "must be >= 0"},
+      {measure > sim::Time::zero(), "measure", "must be positive"},
+      {tuning_interval > sim::Time::zero(), "tuning_interval",
+       "must be positive"},
+      {pretrain_lr_boost > 0.0, "pretrain_lr_boost", "must be positive"},
+      {pet_explore_start >= 0.0 && pet_explore_start <= 1.0,
+       "pet_explore_start", "must be in [0, 1]"},
+  };
+  for (const Check& c : checks) {
+    if (!c.ok) {
+      throw std::invalid_argument(
+          std::string("scenario.").append(c.field).append(" ").append(c.why));
+    }
+  }
+}
+
 namespace {
+const ScenarioConfig& validated(const ScenarioConfig& cfg) {
+  cfg.validate();
+  return cfg;
+}
+
 std::vector<net::HostId> all_hosts(const net::Fabric& topo) {
   std::vector<net::HostId> hosts(static_cast<std::size_t>(topo.num_hosts()));
   for (std::size_t i = 0; i < hosts.size(); ++i) {
@@ -30,7 +70,7 @@ std::vector<net::HostId> all_hosts(const net::Fabric& topo) {
 }  // namespace
 
 Experiment::Experiment(const ScenarioConfig& cfg)
-    : cfg_(cfg),
+    : cfg_(validated(cfg)),
       net_(sched_, cfg.seed),
       topo_(net::build_fabric(net_, cfg.topo)),
       recorder_(cfg.seed),

@@ -85,9 +85,9 @@ struct ScenarioConfig {
   double pet_explore_start = 0.1;
 
   /// Deployment-decision serving mode (rl::PolicyServer). Non-kDirect modes
-  /// imply pet_shared_policy — the server snapshots one shared policy.
-  /// kFp64 is bitwise identical to kDirect; kFp32/kInt8 trade bounded
-  /// divergence for throughput.
+  /// imply pet_shared_policy — the server snapshots one shared policy — so
+  /// a kFp64 run matches kDirect bitwise only when kDirect shares a policy
+  /// too; kFp32/kInt8 trade bounded divergence for throughput.
   rl::InferMode pet_infer = rl::InferMode::kDirect;
 
   /// Attach the experiment's Profiler to its Scheduler so event kinds are
@@ -97,10 +97,15 @@ struct ScenarioConfig {
 
   /// Scale the DCQCN increase steps for the configured host rate.
   void tune_dcqcn_for_rate();
+
+  /// Throws std::invalid_argument naming the offending field. Experiment's
+  /// constructor calls it, so every way of running a scenario is checked.
+  void validate() const;
 };
 
 class Experiment {
  public:
+  /// Throws std::invalid_argument when `cfg` does not validate.
   explicit Experiment(const ScenarioConfig& cfg);
 
   /// Standard lifecycle: pretrain, mark measurement, run, collect.

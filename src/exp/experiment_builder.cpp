@@ -7,135 +7,6 @@
 
 namespace pet::exp {
 
-ExperimentBuilder ExperimentBuilder::from_config(const ScenarioConfig& cfg) {
-  ExperimentBuilder b;
-  b.cfg_ = cfg;
-  return b;
-}
-
-ExperimentBuilder& ExperimentBuilder::topology(const net::TopologySpec& topo) {
-  cfg_.topo = topo;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::topology(
-    const net::LeafSpineConfig& topo) {
-  cfg_.topo = net::TopologySpec(topo);
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::dcqcn(const transport::DcqcnConfig& cfg) {
-  cfg_.dcqcn = cfg;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::tuned_dcqcn(bool enabled) {
-  tuned_dcqcn_ = enabled;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::workload(workload::WorkloadKind kind) {
-  cfg_.workload = kind;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::load(double target_load) {
-  cfg_.load = target_load;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::flow_size_cap(double bytes) {
-  cfg_.flow_size_cap_bytes = bytes;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::incast(bool enabled) {
-  cfg_.incast_enabled = enabled;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::incast(std::int32_t fan_in,
-                                             std::int64_t request_bytes,
-                                             sim::Time period) {
-  cfg_.incast_enabled = true;
-  cfg_.incast_fan_in = fan_in;
-  cfg_.incast_request_bytes = request_bytes;
-  cfg_.incast_period = period;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::scheme(Scheme s) {
-  cfg_.scheme = s;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::phases(sim::Time pretrain,
-                                             sim::Time measure) {
-  cfg_.pretrain = pretrain;
-  cfg_.measure = measure;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::pretrain(sim::Time t) {
-  cfg_.pretrain = t;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::measure(sim::Time t) {
-  cfg_.measure = t;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::tuning_interval(sim::Time t) {
-  cfg_.tuning_interval = t;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::seed(std::uint64_t s) {
-  cfg_.seed = s;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::pretrain_lr_boost(double factor) {
-  cfg_.pretrain_lr_boost = factor;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::shared_policy(bool shared) {
-  cfg_.pet_shared_policy = shared;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::expects_pretrained(bool expects) {
-  cfg_.expects_pretrained = expects;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::explore_start(double rate) {
-  cfg_.pet_explore_start = rate;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::infer(rl::InferMode mode) {
-  cfg_.pet_infer = mode;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::profiling(bool enabled) {
-  cfg_.profiling = enabled;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::replicas(std::int32_t n) {
-  replicas_ = n;
-  return *this;
-}
-
-ExperimentBuilder& ExperimentBuilder::threads(std::int32_t n) {
-  threads_ = n;
-  return *this;
-}
-
 namespace {
 [[noreturn]] void fail(const std::string& field, const std::string& why) {
   throw std::invalid_argument("ExperimentBuilder: " + field + " " + why);
@@ -143,37 +14,6 @@ namespace {
 }  // namespace
 
 void ExperimentBuilder::validate() const {
-  try {
-    cfg_.topo.validate();
-  } catch (const std::invalid_argument& e) {
-    throw std::invalid_argument(std::string("ExperimentBuilder: ") + e.what());
-  }
-  if (!(cfg_.load > 0.0) || cfg_.load > 1.0) {
-    fail("load", "must be in (0, 1], got " + std::to_string(cfg_.load));
-  }
-  if (cfg_.flow_size_cap_bytes < 0.0) {
-    fail("flow_size_cap", "must be >= 0 (0 disables truncation)");
-  }
-  if (cfg_.incast_enabled) {
-    if (cfg_.incast_fan_in < 1) fail("incast fan_in", "must be >= 1");
-    if (cfg_.incast_request_bytes < 1) {
-      fail("incast request_bytes", "must be >= 1");
-    }
-    if (cfg_.incast_period <= sim::Time::zero()) {
-      fail("incast period", "must be positive");
-    }
-  }
-  if (cfg_.pretrain < sim::Time::zero()) fail("pretrain", "must be >= 0");
-  if (cfg_.measure <= sim::Time::zero()) fail("measure", "must be positive");
-  if (cfg_.tuning_interval <= sim::Time::zero()) {
-    fail("tuning_interval", "must be positive");
-  }
-  if (cfg_.pretrain_lr_boost <= 0.0) {
-    fail("pretrain_lr_boost", "must be positive");
-  }
-  if (cfg_.pet_explore_start < 0.0 || cfg_.pet_explore_start > 1.0) {
-    fail("explore_start", "must be in [0, 1]");
-  }
   if (replicas_ < 1) fail("replicas", "must be >= 1");
   if (threads_ < 0) fail("threads", "must be >= 0 (0 = hardware)");
   if (replicas_ > 1 && cfg_.scheme != Scheme::kPet &&

@@ -8,22 +8,19 @@
 //                 .seed(7)
 //                 .build();
 //
-// Every knob of ScenarioConfig has a chainable setter; build() validates
-// the assembled configuration once (throwing std::invalid_argument with a
-// field-naming message) so malformed scenarios fail loudly at the API
-// boundary instead of deep inside the simulator. replicas(N) switches the
-// product from a single Experiment to a ReplicaRunner that trains N
-// independent replicas in parallel (see replica_runner.hpp).
-//
-// Constructing `Experiment` directly from a hand-filled ScenarioConfig
-// remains supported as a deprecated shim for existing code.
+// Every knob of ScenarioConfig has a chainable setter. The scenario itself
+// is validated where every path meets, in Experiment's constructor
+// (ScenarioConfig::validate() throws std::invalid_argument with a
+// field-naming message); the builder adds only its own replicas/threads
+// checks. replicas(N) switches the product from a single Experiment to a
+// ReplicaRunner that trains N independent replicas in parallel (see
+// replica_runner.hpp).
 
 #include <cstdint>
 #include <memory>
 
 #include "exp/experiment.hpp"
 #include "exp/scheme.hpp"
-#include "net/topology.hpp"
 #include "net/topology_spec.hpp"
 #include "rl/inference.hpp"
 #include "sim/time.hpp"
@@ -39,59 +36,84 @@ class ExperimentBuilder {
  public:
   ExperimentBuilder() = default;
 
-  /// Seed the builder from an existing ScenarioConfig (migration aid).
-  [[nodiscard]] static ExperimentBuilder from_config(const ScenarioConfig& cfg);
-
   // --- fabric ---------------------------------------------------------------
   /// Any fabric family: leaf-spine, k-ary fat-tree, or inter-DC
   /// (net/topology_spec.hpp).
-  ExperimentBuilder& topology(const net::TopologySpec& topo);
-  /// Deprecated shim: LeafSpineConfig wraps into a TopologySpec. Kept so
-  /// pre-Fabric callers keep compiling (mirrors the ScenarioConfig shim).
-  ExperimentBuilder& topology(const net::LeafSpineConfig& topo);
-  ExperimentBuilder& dcqcn(const transport::DcqcnConfig& cfg);
+  ExperimentBuilder& topology(const net::TopologySpec& t) {
+    return set(cfg_.topo, t);
+  }
+  ExperimentBuilder& dcqcn(const transport::DcqcnConfig& c) {
+    return set(cfg_.dcqcn, c);
+  }
   /// Re-derive DCQCN's increase machinery from the (already set) host link
   /// rate; applied at build() time so it sees the final topology.
-  ExperimentBuilder& tuned_dcqcn(bool enabled = true);
+  ExperimentBuilder& tuned_dcqcn(bool on = true) {
+    return set(tuned_dcqcn_, on);
+  }
 
   // --- workload -------------------------------------------------------------
-  ExperimentBuilder& workload(workload::WorkloadKind kind);
-  ExperimentBuilder& load(double target_load);
+  ExperimentBuilder& workload(workload::WorkloadKind kind) {
+    return set(cfg_.workload, kind);
+  }
+  ExperimentBuilder& load(double target) { return set(cfg_.load, target); }
   /// 0 disables flow-size truncation.
-  ExperimentBuilder& flow_size_cap(double bytes);
-  ExperimentBuilder& incast(bool enabled);
+  ExperimentBuilder& flow_size_cap(double bytes) {
+    return set(cfg_.flow_size_cap_bytes, bytes);
+  }
+  ExperimentBuilder& incast(bool on) { return set(cfg_.incast_enabled, on); }
   ExperimentBuilder& incast(std::int32_t fan_in, std::int64_t request_bytes,
-                            sim::Time period);
+                            sim::Time period) {
+    cfg_.incast_fan_in = fan_in;
+    cfg_.incast_request_bytes = request_bytes;
+    cfg_.incast_period = period;
+    return incast(true);
+  }
 
   // --- scheme & schedule ----------------------------------------------------
-  ExperimentBuilder& scheme(Scheme s);
-  ExperimentBuilder& phases(sim::Time pretrain, sim::Time measure);
-  ExperimentBuilder& pretrain(sim::Time t);
-  ExperimentBuilder& measure(sim::Time t);
-  ExperimentBuilder& tuning_interval(sim::Time t);
+  ExperimentBuilder& scheme(Scheme s) { return set(cfg_.scheme, s); }
+  ExperimentBuilder& phases(sim::Time pretrain_for, sim::Time measure_for) {
+    return pretrain(pretrain_for).measure(measure_for);
+  }
+  ExperimentBuilder& pretrain(sim::Time t) { return set(cfg_.pretrain, t); }
+  ExperimentBuilder& measure(sim::Time t) { return set(cfg_.measure, t); }
+  ExperimentBuilder& tuning_interval(sim::Time t) {
+    return set(cfg_.tuning_interval, t);
+  }
 
   // --- learning knobs -------------------------------------------------------
-  ExperimentBuilder& seed(std::uint64_t s);
-  ExperimentBuilder& pretrain_lr_boost(double factor);
-  ExperimentBuilder& shared_policy(bool shared);
-  ExperimentBuilder& expects_pretrained(bool expects);
-  ExperimentBuilder& explore_start(double rate);
+  ExperimentBuilder& seed(std::uint64_t s) { return set(cfg_.seed, s); }
+  ExperimentBuilder& pretrain_lr_boost(double factor) {
+    return set(cfg_.pretrain_lr_boost, factor);
+  }
+  ExperimentBuilder& shared_policy(bool on) {
+    return set(cfg_.pet_shared_policy, on);
+  }
+  ExperimentBuilder& expects_pretrained(bool on) {
+    return set(cfg_.expects_pretrained, on);
+  }
+  ExperimentBuilder& explore_start(double rate) {
+    return set(cfg_.pet_explore_start, rate);
+  }
   /// Deployment-decision serving precision (rl::PolicyServer). Non-kDirect
   /// modes imply shared_policy(true).
-  ExperimentBuilder& infer(rl::InferMode mode);
+  ExperimentBuilder& infer(rl::InferMode mode) {
+    return set(cfg_.pet_infer, mode);
+  }
 
   // --- observability --------------------------------------------------------
   /// Attach the experiment's Profiler to its Scheduler (per-event-kind
   /// sections; the event order is unaffected).
-  ExperimentBuilder& profiling(bool enabled = true);
+  ExperimentBuilder& profiling(bool on = true) {
+    return set(cfg_.profiling, on);
+  }
 
   // --- parallel replicas ----------------------------------------------------
   /// Train N fully independent replicas per episode and merge their
   /// rollouts into one IPPO update (build_runner()).
-  ExperimentBuilder& replicas(std::int32_t n);
+  ExperimentBuilder& replicas(std::int32_t n) { return set(replicas_, n); }
   /// Worker threads for the replica pool (0 = hardware concurrency). The
   /// merged result is identical for any thread count.
-  ExperimentBuilder& threads(std::int32_t n);
+  ExperimentBuilder& threads(std::int32_t n) { return set(threads_, n); }
 
   /// The assembled (not yet validated) configuration exactly as build()
   /// will consume it — deferred adjustments like tuned_dcqcn() applied.
@@ -99,14 +121,19 @@ class ExperimentBuilder {
   [[nodiscard]] ScenarioConfig config() const { return finalized(); }
   [[nodiscard]] std::int32_t num_replicas() const { return replicas_; }
 
-  /// Validate and construct. Throws std::invalid_argument on a bad config.
+  /// Construct. Throws std::invalid_argument on a bad config.
   [[nodiscard]] std::unique_ptr<Experiment> build() const;
-  /// Validate and construct the parallel-replica trainer (replicas() >= 1;
-  /// requires a PET scheme).
+  /// Construct the parallel-replica trainer (replicas() >= 1; requires a
+  /// PET scheme).
   [[nodiscard]] ReplicaRunner build_runner() const;
 
  private:
-  /// Throws std::invalid_argument naming the offending field.
+  template <class T>
+  ExperimentBuilder& set(T& field, const T& value) {
+    field = value;
+    return *this;
+  }
+  /// The replicas/threads checks; throws std::invalid_argument.
   void validate() const;
   [[nodiscard]] ScenarioConfig finalized() const;
 

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -422,6 +423,13 @@ void SweepRunner::write_merged_artifact(Result& result) const {
 
 SweepRunner::Result SweepRunner::run() {
   points_ = grid_.expand(cfg_.train_episodes);
+  for (const SweepPoint& p : points_) {
+    try {
+      p.cfg.validate();
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("sweep point " + p.id + ": " + e.what());
+    }
+  }
   std::error_code ec;
   std::filesystem::create_directories(cfg_.out_dir, ec);
 

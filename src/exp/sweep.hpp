@@ -145,7 +145,9 @@ class SweepRunner {
 
   SweepRunner(SweepGrid grid, SweepRunnerConfig cfg);
 
-  /// Run (or resume) the whole grid and write the merged artifact.
+  /// Run (or resume) the whole grid and write the merged artifact. Throws
+  /// std::invalid_argument, naming the point and field, before anything is
+  /// written when any expanded point does not validate.
   [[nodiscard]] Result run();
 
   /// Cooperative external cancellation (e.g. from a signal handler): the

@@ -8,9 +8,9 @@
 // lists, and analytic base-RTT queries. Experiment, benches and tooling go
 // through this interface instead of poking leaf/spine device vectors.
 //
-// The leaf-spine path reproduces build_leaf_spine()'s historical device
+// The leaf-spine path reproduces the pre-Fabric leaf-spine builder's device
 // and link creation order exactly, so pre-redesign scenarios stay bitwise
-// identical (the deprecated shim in topology.hpp delegates here).
+// identical (tests/test_fabric.cpp pins it against a verbatim copy).
 
 #include <cstdint>
 #include <string>
@@ -43,8 +43,7 @@ class Fabric {
   }
 
   /// The ToR switch `h` hangs off. Throws std::out_of_range for an id
-  /// outside 0..num_hosts()-1 (the old LeafSpine::leaf_of indexed the leaf
-  /// vector out of bounds instead).
+  /// outside 0..num_hosts()-1.
   [[nodiscard]] DeviceId tor_of(HostId h) const;
 
   [[nodiscard]] const std::vector<FabricTier>& tiers() const { return tiers_; }
@@ -70,8 +69,8 @@ class Fabric {
   [[nodiscard]] sim::Time base_rtt(HostId src, HostId dst,
                                    std::int32_t mtu_bytes) const;
   /// RTT across the fabric diameter (two maximally distant hosts) — the
-  /// scenario-level number metrics normalize against. Matches the old
-  /// LeafSpine::base_rtt() for leaf-spine specs.
+  /// scenario-level number metrics normalize against. For leaf-spine specs:
+  /// host -> leaf -> spine -> leaf -> host and back.
   [[nodiscard]] sim::Time diameter_rtt(std::int32_t mtu_bytes) const;
 
  private:

@@ -4,8 +4,9 @@
 //
 // Precision contract (see DESIGN.md "Fast Inference Path"):
 //  - kFp64: bitwise identical to the training network's forward — the same
-//    kernels, the same std::tanh. A fp64-served run is indistinguishable
-//    from the direct per-agent path.
+//    kernels, the same std::tanh. Over the same shared policy, a fp64-served
+//    run is indistinguishable from the direct path; serving turns a shared
+//    policy on, so it differs from a direct run with per-agent policies.
 //  - kFp32: weights/inputs narrowed once, one fma chain per output, and a
 //    rational tanh approximation (|err| <= 2e-6). Error-bounded against the
 //    fp64 reference (tests/test_oracle_inference.cpp), not bitwise.
@@ -32,7 +33,8 @@ enum class InferPrecision : std::uint8_t { kFp64 = 0, kFp32 = 1, kInt8 = 2 };
 
 /// How a PetController serves deployment/greedy decisions: the legacy
 /// per-agent fp64 path, or a batched policy server at a given precision
-/// (kFp64 serving is bitwise identical to kDirect).
+/// (kFp64 serving is bitwise identical to kDirect over the same shared
+/// policy).
 enum class InferMode : std::uint8_t {
   kDirect = 0,
   kFp64 = 1,

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "net/topology.hpp"
+#include "net/network.hpp"
 
 namespace pet::transport {
 namespace {

@@ -6,7 +6,7 @@
 
 #include <tuple>
 
-#include "net/topology.hpp"
+#include "net/network.hpp"
 #include "transport/dcqcn.hpp"
 
 namespace pet::transport {

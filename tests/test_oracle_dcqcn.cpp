@@ -10,7 +10,7 @@
 #include <tuple>
 #include <vector>
 
-#include "net/topology.hpp"
+#include "net/network.hpp"
 #include "testkit/oracles.hpp"
 #include "testkit/property.hpp"
 #include "transport/dcqcn.hpp"

@@ -2,16 +2,17 @@
 // central weights are a pure function of (seed, replicas) — the worker
 // thread count is invisible, bitwise. These tests run the same tiny
 // scenario on 1 and 4 threads and demand identical digests and weights,
-// plus coverage of the ExperimentBuilder validation gate the runner sits
-// behind.
+// plus coverage of the scenario validation every entry point goes through.
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <stdexcept>
 #include <vector>
 
 #include "exp/experiment_builder.hpp"
 #include "exp/replica_runner.hpp"
+#include "exp/sweep.hpp"
 
 namespace pet::exp {
 namespace {
@@ -158,6 +159,26 @@ TEST(ExperimentBuilder, ValidatesAtBuildTime) {
   topo.num_leaves = 0;
   EXPECT_THROW((void)tiny_scenario().topology(topo).build(),
                std::invalid_argument);
+
+  // The scenario check lives in Experiment's constructor, so the doors
+  // that skip build() reject the same scenario.
+  ScenarioConfig bad = tiny_scenario().config();
+  bad.load = 1.5;
+  EXPECT_THROW((void)Experiment(bad), std::invalid_argument);
+  EXPECT_THROW((void)ReplicaRunner(bad, ReplicaRunnerConfig{}),
+               std::invalid_argument);
+
+  // A sweep checks every expanded point before it writes anything.
+  SweepGrid grid;
+  grid.base = tiny_scenario().config();
+  grid.loads = {0.5, 1.5};
+  SweepRunnerConfig sweep_cfg;
+  sweep_cfg.out_dir =
+      (std::filesystem::temp_directory_path() / "pet_invalid_grid").string();
+  std::filesystem::remove_all(sweep_cfg.out_dir);
+  SweepRunner sweep(grid, sweep_cfg);
+  EXPECT_THROW((void)sweep.run(), std::invalid_argument);
+  EXPECT_FALSE(std::filesystem::exists(sweep_cfg.out_dir));
 }
 
 TEST(ExperimentBuilder, BuildsARunnableExperiment) {
@@ -167,17 +188,6 @@ TEST(ExperimentBuilder, BuildsARunnableExperiment) {
   EXPECT_EQ(ex->config().scheme, Scheme::kPet);
   ASSERT_NE(ex->pet(), nullptr);
   EXPECT_EQ(ex->pet()->num_agents(), 3u);  // 2 leaves + 1 spine
-}
-
-TEST(ExperimentBuilder, FromConfigRoundTrips) {
-  ScenarioConfig cfg;
-  cfg.load = 0.7;
-  cfg.seed = 9;
-  cfg.scheme = Scheme::kSecn2;
-  const ExperimentBuilder b = ExperimentBuilder::from_config(cfg);
-  EXPECT_EQ(b.config().load, 0.7);
-  EXPECT_EQ(b.config().seed, 9u);
-  EXPECT_EQ(b.config().scheme, Scheme::kSecn2);
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 #include <map>
 #include <set>
 
-#include "net/topology.hpp"
+#include "net/fabric.hpp"
 #include "workload/distributions.hpp"
 
 namespace pet::workload {
@@ -15,7 +15,6 @@ namespace {
 struct TrafficFixture : ::testing::Test {
   sim::Scheduler sched;
   net::Network net{sched, 21};
-  net::LeafSpine topo;
   transport::FctRecorder recorder;
   std::unique_ptr<transport::RdmaTransport> transport;
 
@@ -24,7 +23,7 @@ struct TrafficFixture : ::testing::Test {
     cfg.num_spines = 1;
     cfg.num_leaves = 2;
     cfg.hosts_per_leaf = 4;
-    topo = net::build_leaf_spine(net, cfg);
+    (void)net::build_fabric(net, cfg);
     transport = std::make_unique<transport::RdmaTransport>(
         net, transport::DcqcnConfig{}, &recorder);
   }

@@ -438,25 +438,6 @@ void rule_unaudited_ecn(const Ctx& c) {
   }
 }
 
-// --- rule: deprecated-topology ----------------------------------------------
-
-void rule_deprecated_topology(const Ctx& c) {
-  // The shim lives in src/net/topology.{hpp,cpp}; everything else builds
-  // fabrics through the TopologySpec front door.
-  if (starts_with(c.path, "src/net/")) return;
-  const TokenView& tv = c.tv;
-  for (std::size_t i = 0; i < tv.size(); ++i) {
-    const Token& t = tv.at(i);
-    if (t.kind == TokKind::kIdent && t.text == "build_leaf_spine" &&
-        tv.is_punct(i + 1, "(")) {
-      c.report("deprecated-topology", t,
-               "build_leaf_spine() is a deprecated shim — build fabrics "
-               "with net::build_fabric(net, net::TopologySpec{...}) so "
-               "fat-tree and inter-DC scenarios work unchanged");
-    }
-  }
-}
-
 // --- rule: hot-path-alloc ---------------------------------------------------
 
 void rule_hot_path_alloc(const Ctx& c) {
@@ -666,7 +647,6 @@ Policy policy_for(std::string_view relpath) {
     p.unaudited_ecn = true;
     p.nodiscard_chain = true;
     p.header_hygiene = true;
-    p.deprecated_topology = true;  // rule itself skips the src/net shim
     if (starts_with(relpath, "src/sim/log.")) p.banned_io = false;
     if (starts_with(relpath, "src/testkit/")) p.banned_getenv = false;
     // The DES hot path is allocation-free by contract (test_alloc_steady);
@@ -694,20 +674,14 @@ Policy policy_for(std::string_view relpath) {
   // tools/, bench/, examples/: relaxed — hygiene and result consumption.
   p.nodiscard_chain = true;
   p.header_hygiene = true;
-  // bench/examples must also stay off the deprecated topology shim (tests
-  // keep exercising it; pet_lint's own sources name the identifier).
-  if (starts_with(relpath, "bench/") || starts_with(relpath, "examples/")) {
-    p.deprecated_topology = true;
-  }
   return p;
 }
 
 const std::vector<std::string>& all_rule_ids() {
   static const std::vector<std::string> kIds = {
       "banned-api", "nondet-iteration", "unaudited-ecn", "nodiscard-chain",
-      "header-hygiene", "deprecated-topology", "hot-path-alloc",
-      "quantize-narrowing", "layer-order", "include-hygiene-v2",
-      "lock-discipline"};
+      "header-hygiene", "hot-path-alloc", "quantize-narrowing",
+      "layer-order", "include-hygiene-v2", "lock-discipline"};
   return kIds;
 }
 
@@ -733,7 +707,6 @@ FileReport analyze_source(const std::string& relpath, std::string_view content,
     rule_nondet_iteration(c, inherited);
   }
   if (policy.unaudited_ecn) rule_unaudited_ecn(c);
-  if (policy.deprecated_topology) rule_deprecated_topology(c);
   if (policy.hot_path_alloc) rule_hot_path_alloc(c);
   if (policy.quantize_narrowing) rule_quantize_narrowing(c);
   if (policy.nodiscard_chain) rule_nodiscard_chain(c);
