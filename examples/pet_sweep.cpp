@@ -98,6 +98,10 @@ int main(int argc, char** argv) {
     std::fputs(r.message.c_str(), *r.exit_code == 0 ? stdout : stderr);
     return *r.exit_code;
   }
+  if (const std::string error = opt.shared.check(); !error.empty()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 2;
+  }
   const exp::ScenarioFlags& sh = opt.shared;
 
   exp::SweepGrid& grid = opt.grid;

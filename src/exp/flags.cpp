@@ -1,6 +1,7 @@
 #include "exp/flags.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -151,6 +152,28 @@ void ScenarioFlags::add_to(FlagSet& flags) {
              "checkpoint cadence in episodes")
       .toggle("--resume", &resume, true,
               "continue from what an interrupted run left on disk");
+}
+
+std::string ScenarioFlags::check() const {
+  if (replicas < 1) return "--replicas: must be >= 1";
+  // A quarter of int64 picoseconds (about 26 simulated days) per time flag,
+  // so its unit product and pretrain + measure both fit sim::Time.
+  constexpr std::int64_t kMaxPs = std::numeric_limits<std::int64_t>::max() / 4;
+  const struct {
+    const char* name;
+    std::int64_t value;
+    std::int64_t ps_per_unit;
+  } times[] = {{"--pretrain-ms", pretrain_ms, sim::milliseconds(1).ps()},
+               {"--measure-ms", measure_ms, sim::milliseconds(1).ps()},
+               {"--wan-delay-us", wan_delay_us, sim::microseconds(1).ps()}};
+  for (const auto& t : times) {
+    const std::int64_t max = kMaxPs / t.ps_per_unit;
+    if (t.value < 0 || t.value > max) {
+      return std::string(t.name) + ": " + show_flag_value(t.value) +
+             " is outside [0, " + show_flag_value(max) + "]";
+    }
+  }
+  return {};
 }
 
 net::TopologySpec ScenarioFlags::make_topology(

@@ -252,6 +252,9 @@ struct ScenarioFlags {
   bool resume = false;
 
   void add_to(FlagSet& flags);
+  /// "--flag: why" for the first value no run can use, "" when all are
+  /// usable. Both CLIs exit 2 with it before any work.
+  [[nodiscard]] std::string check() const;
   /// The `kind` fabric these shape flags describe.
   [[nodiscard]] net::TopologySpec make_topology(
       net::TopologySpec::Kind kind) const;

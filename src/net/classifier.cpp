@@ -5,7 +5,6 @@
 
 namespace pet::net {
 
-// pet-lint: allow(hot-path-alloc): built once at topology setup
 std::function<std::int32_t(const Packet&)> make_hash_classifier(
     std::int32_t num_queues, std::uint64_t salt) {
   return [num_queues, salt](const Packet& pkt) {

@@ -15,8 +15,6 @@
 namespace pet::net {
 
 /// Stateless hash spreading flows evenly over `num_queues`.
-// pet-lint: allow(hot-path-alloc): classifier objects are built once at
-// topology setup; invoking them does not allocate
 [[nodiscard]] std::function<std::int32_t(const Packet&)> make_hash_classifier(
     std::int32_t num_queues, std::uint64_t salt = 0x9E37);
 
@@ -40,7 +38,6 @@ class SizeClassClassifier {
   [[nodiscard]] std::vector<FlowId> tracked_ids() const;
 
   /// Adapter usable as a SwitchDevice::Classifier (shared state).
-  // pet-lint: allow(hot-path-alloc): adapter built once per switch at setup
   [[nodiscard]] static std::function<std::int32_t(const Packet&)> as_classifier(
       std::shared_ptr<SizeClassClassifier> self) {
     return [self](const Packet& pkt) { return (*self)(pkt); };

@@ -38,7 +38,6 @@ void FaultPlan::fire(FaultKind kind, std::string detail) {
   fired_.push_back(FaultEvent{now, kind, std::move(detail)});
 }
 
-// pet-lint: allow(hot-path-alloc): control-plane, O(faults) per run
 void FaultPlan::schedule(sim::Time at, std::function<void()> fn) {
   ++pending_;
   net_.scheduler().schedule_at(

@@ -47,8 +47,6 @@ class FaultPlan {
  public:
   /// Sink invoked for every fired fault (in addition to the internal log).
   using EventSink =
-      // pet-lint: allow(hot-path-alloc): fault injection is control-plane —
-      // a handful of scheduled events per run, not the per-packet path
       std::function<void(sim::Time, FaultKind, const std::string&)>;
 
   FaultPlan(Network& net, std::uint64_t seed);
@@ -100,7 +98,6 @@ class FaultPlan {
 
  private:
   void fire(FaultKind kind, std::string detail);
-  // pet-lint: allow(hot-path-alloc): control-plane, O(faults) per run
   void schedule(sim::Time at, std::function<void()> fn);
 
   Network& net_;

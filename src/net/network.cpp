@@ -136,8 +136,6 @@ void Network::recompute_routes() {
   for (const HostDevice* dst : hosts_) {
     // BFS from the destination over live links.
     std::fill(dist.begin(), dist.end(), kInf);
-    // pet-lint: allow(hot-path-alloc): BFS scratch for route recompute —
-    // control-plane work that runs on topology changes, not per packet
     std::deque<DeviceId> frontier;
     dist[static_cast<std::size_t>(dst->id())] = 0;
     frontier.push_back(dst->id());

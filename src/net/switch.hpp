@@ -50,13 +50,9 @@ class SwitchDevice : public Device {
   /// Classifies a data packet into one of the port's data queues. With
   /// none installed (the default, or an empty one) every packet goes to
   /// queue 0.
-  // pet-lint: allow(hot-path-alloc): classifiers are installed once at
-  // setup and the per-packet call does not allocate; with none installed
-  // the per-packet call is skipped
   using Classifier = std::function<std::int32_t(const Packet&)>;
   /// Observer invoked for every data packet accepted for forwarding
   /// (NCM taps this for incast degree and mice/elephant accounting).
-  // pet-lint: allow(hot-path-alloc): observer installed once at setup
   using ForwardObserver = std::function<void(
       const Packet&, std::int32_t out_port, std::int32_t queue_idx)>;
 

@@ -10,12 +10,11 @@
 #include "rl/kernels.hpp"
 
 // NOTE: this translation unit is the audited fp64 -> int8 narrowing site in
-// src/rl (pet_lint rule `quantize-narrowing`). Every conversion here goes
-// through an explicit clamp to [-127, 127] after round-to-nearest, and
-// quantize() rejects non-finite weights before any cast runs. The only other
-// narrowing cast lives in kern::detail::quantize_lane_s8 (the fp32
-// activation quantizer shared by both kernel backends), suppressed inline
-// with the same clamp-audit justification.
+// src/rl. Every conversion here goes through an explicit clamp to
+// [-127, 127] after round-to-nearest, and quantize() rejects non-finite
+// weights before any cast runs. The only other narrowing cast lives in
+// kern::detail::quantize_lane_s8 (the fp32 activation quantizer shared by
+// both kernel backends), behind the same clamp.
 
 namespace pet::rl {
 

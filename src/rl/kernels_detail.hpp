@@ -64,8 +64,7 @@ inline constexpr float kQuantMagic = 12582912.0f;
   const float r = (scaled + kQuantMagic) - kQuantMagic;
   float c = r < -127.0f ? -127.0f : r;
   c = c > 127.0f ? 127.0f : c;
-  // pet-lint: allow(quantize-narrowing): audited rne+clamp lane shared by all
-  // kernel backends; c is integral in [-127, 127] so the cast is exact
+  // c is integral in [-127, 127], so the cast is exact.
   return static_cast<std::int8_t>(static_cast<std::int32_t>(c));
 }
 

@@ -47,8 +47,6 @@ class Profiler {
 
   /// Simulated-time source for spans (the Scheduler attaches itself when
   /// set_profiler is called; standalone users may supply their own).
-  // pet-lint: allow(hot-path-alloc): time source is installed once at
-  // attach time, never on the per-event path
   void set_time_source(std::function<double()> now_us) {
     now_us_ = std::move(now_us);
   }
@@ -119,7 +117,6 @@ class Profiler {
   mutable std::vector<Section> merged_;
   mutable bool merged_dirty_ = false;
   std::vector<Span> spans_;
-  // pet-lint: allow(hot-path-alloc): cold member — written once at setup
   std::function<double()> now_us_;
 };
 

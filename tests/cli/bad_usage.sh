@@ -37,8 +37,16 @@ expect_usage_error "--load" "$SWEEP" --load=abc --out="$WORK/sweep_abc"
 expect_usage_error "scenario.load" "$SWEEP" --load=1.5 --scheme=secn1 \
   --out="$WORK/sweep_high"
 expect_usage_error "scenario.load" "$CLI" --load=1.5 --train-episodes=1
+expect_usage_error "--replicas" "$CLI" --replicas=0 --train-episodes=1
+expect_usage_error "--replicas" "$SWEEP" --scheme=pet --train-episodes=1 \
+  --replicas=0 --out="$WORK/sweep_replicas"
+# 18446744074 ms is 2^64 ps plus 0.29 ms: it used to wrap to a 0.29 ms window.
+expect_usage_error "--measure-ms" "$CLI" --scheme=secn1 --measure-ms=18446744074
+expect_usage_error "--wan-delay-us" "$SWEEP" --scheme=secn1 --topo=inter-dc \
+  --wan-delay-us=9300000000000 --out="$WORK/sweep_wan"
 
-for dir in "$WORK/sweep_abc" "$WORK/sweep_high"; do
+for dir in "$WORK/sweep_abc" "$WORK/sweep_high" "$WORK/sweep_replicas" \
+           "$WORK/sweep_wan"; do
   if ls "$dir"/point_*.json > /dev/null 2>&1; then
     echo "FAIL: invalid sweep wrote a point artifact in $dir"
     failed=1

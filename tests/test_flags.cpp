@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "sim/time.hpp"
 
 namespace pet::exp {
 namespace {
@@ -192,6 +195,26 @@ TEST(ScenarioFlags, MakeTopologyCoversEveryKind) {
   for (const Choice<net::TopologySpec::Kind>& c : kTopologyNames) {
     EXPECT_EQ(std::string(sh.make_topology(c.value).kind_name()), c.name);
   }
+}
+
+TEST(ScenarioFlags, CheckRejectsZeroReplicasAndOverflowingTimes) {
+  EXPECT_EQ(ScenarioFlags{}.check(), "");
+  ScenarioFlags sh;
+  sh.replicas = 0;
+  EXPECT_EQ(sh.check().rfind("--replicas:", 0), 0u) << sh.check();
+  // The largest accepted count still converts without wrapping.
+  sh = ScenarioFlags{};
+  sh.measure_ms = std::numeric_limits<std::int64_t>::max() / 4 / 1'000'000'000;
+  EXPECT_EQ(sh.check(), "");
+  EXPECT_GT(sim::milliseconds(sh.measure_ms), sim::Time::zero());
+  sh.measure_ms += 1;
+  EXPECT_EQ(sh.check().rfind("--measure-ms:", 0), 0u) << sh.check();
+  sh = ScenarioFlags{};
+  sh.pretrain_ms = -1;
+  EXPECT_EQ(sh.check().rfind("--pretrain-ms:", 0), 0u) << sh.check();
+  sh = ScenarioFlags{};
+  sh.wan_delay_us = 9'300'000'000'000;  // 9.3e18 ps overflows int64
+  EXPECT_EQ(sh.check().rfind("--wan-delay-us:", 0), 0u) << sh.check();
 }
 
 }  // namespace

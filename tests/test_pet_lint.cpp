@@ -1,18 +1,15 @@
 // pet_lint self-tests: lexer corners, per-directory policies, each rule
-// against a seeded fixture violation, the suppression grammar, and the
-// baseline workflow (match / stale / bypass). Fixture trees live under
-// tests/lint_fixtures/<case>/ — each is a miniature repo root.
+// against a seeded fixture violation, and the suppression grammar. Fixture
+// trees live under tests/lint_fixtures/<case>/ — each is a miniature repo
+// root.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "driver.hpp"
-#include "exp/json.hpp"
 #include "index.hpp"
 #include "lexer.hpp"
 #include "rules.hpp"
@@ -215,91 +212,6 @@ TEST(LintFixtures, NodiscardChainDeclarationAndCallSite) {
   EXPECT_TRUE(saw_ckpt_call);
 }
 
-TEST(LintPolicy, HotPathAllocActivation) {
-  EXPECT_TRUE(lint::policy_for("src/sim/scheduler.hpp").hot_path_alloc);
-  EXPECT_TRUE(lint::policy_for("src/net/queue.hpp").hot_path_alloc);
-  EXPECT_FALSE(lint::policy_for("src/exp/experiment.cpp").hot_path_alloc);
-  EXPECT_FALSE(lint::policy_for("src/rl/ppo.cpp").hot_path_alloc);
-  EXPECT_FALSE(lint::policy_for("tests/test_scheduler.cpp").hot_path_alloc);
-  EXPECT_FALSE(lint::policy_for("bench/micro_sim.cpp").hot_path_alloc);
-}
-
-TEST(LintFixtures, HotPathAllocFlagsSimNetOnlyAndHonorsAllow) {
-  const auto r = run_fixture("hotpath");
-  EXPECT_FALSE(r.io_error) << r.error;
-  // The src/sim std::function alias and std::deque member are flagged; the
-  // annotated report hook is suppressed; src/exp stays out of scope.
-  ASSERT_EQ(count_rule(r, "hot-path-alloc"), 2u);
-  bool saw_function = false;
-  bool saw_deque = false;
-  for (const auto& f : r.findings) {
-    EXPECT_NE(f.path.find("src/sim/"), std::string::npos);
-    saw_function =
-        saw_function || f.message.find("SmallCallback") != std::string::npos;
-    saw_deque = saw_deque || f.message.find("FifoQueue") != std::string::npos;
-  }
-  EXPECT_TRUE(saw_function);
-  EXPECT_TRUE(saw_deque);
-  EXPECT_EQ(r.findings.size(), 2u);
-  EXPECT_EQ(r.suppressed, 1u);
-}
-
-TEST(LintFixtures, QuantizeNarrowingFlagsRogueCastNotAuditedSite) {
-  const auto r = run_fixture("quantize");
-  EXPECT_FALSE(r.io_error) << r.error;
-  // One rogue static_cast<int8_t> in snapshot.cpp; the annotated reference
-  // quantizer is suppressed and the audited src/rl/inference.cpp is exempt.
-  ASSERT_EQ(count_rule(r, "quantize-narrowing"), 1u);
-  const auto f = std::find_if(r.findings.begin(), r.findings.end(),
-                              [](const lint::Finding& x) {
-                                return x.rule == "quantize-narrowing";
-                              });
-  EXPECT_NE(f->path.find("snapshot.cpp"), std::string::npos);
-  EXPECT_NE(f->message.find("InferenceModel::quantize"), std::string::npos);
-  EXPECT_EQ(r.suppressed, 1u);
-  // The inference-snapshot chain APIs are nodiscard-chain members: the
-  // un-annotated `bool quantize` declaration plus the two discarded call
-  // sites; the consumed refresh() stays clean.
-  EXPECT_EQ(count_rule(r, "nodiscard-chain"), 3u);
-  bool saw_decl = false;
-  bool saw_quantize_call = false;
-  bool saw_install_call = false;
-  for (const auto& x : r.findings) {
-    if (x.rule != "nodiscard-chain") continue;
-    saw_decl =
-        saw_decl || x.line_text.find("bool quantize") != std::string::npos;
-    saw_quantize_call = saw_quantize_call ||
-                        x.line_text.find("s.quantize(w)") != std::string::npos;
-    saw_install_call =
-        saw_install_call ||
-        x.line_text.find("s.install(other)") != std::string::npos;
-  }
-  EXPECT_TRUE(saw_decl);
-  EXPECT_TRUE(saw_quantize_call);
-  EXPECT_TRUE(saw_install_call);
-}
-
-TEST(LintPolicy, QuantizeNarrowingActivation) {
-  EXPECT_TRUE(lint::policy_for("src/rl/mlp.cpp").quantize_narrowing);
-  // The audited TU keeps the policy bit; the rule itself exempts the path.
-  EXPECT_TRUE(lint::policy_for("src/rl/inference.cpp").quantize_narrowing);
-  EXPECT_FALSE(lint::policy_for("src/core/controller.cpp").quantize_narrowing);
-  EXPECT_FALSE(lint::policy_for("tests/test_mlp.cpp").quantize_narrowing);
-  EXPECT_FALSE(lint::policy_for("bench/micro_rl.cpp").quantize_narrowing);
-}
-
-TEST(LintRules, AuditedQuantizerTuIsExemptOtherRlTusAreNot) {
-  const char* kNarrow =
-      "#include <cstdint>\n"
-      "namespace pet::rl {\n"
-      "std::int8_t q(double v) { return static_cast<std::int8_t>(v); }\n"
-      "}  // namespace pet::rl\n";
-  EXPECT_TRUE(analyze("src/rl/inference.cpp", kNarrow).findings.empty());
-  const auto rep = analyze("src/rl/kernels.cpp", kNarrow);
-  ASSERT_EQ(rep.findings.size(), 1u);
-  EXPECT_EQ(rep.findings[0].rule, "quantize-narrowing");
-}
-
 TEST(LintFixtures, HeaderHygieneMissingPragmaAndWrongFirstInclude) {
   const auto r = run_fixture("hygiene");
   EXPECT_FALSE(r.io_error) << r.error;
@@ -310,39 +222,19 @@ TEST(LintFixtures, CleanTreeHasZeroFindings) {
   const auto r = run_fixture("clean");
   EXPECT_FALSE(r.io_error) << r.error;
   EXPECT_TRUE(r.findings.empty());
-  EXPECT_TRUE(r.stale.empty());
   EXPECT_GE(r.files_scanned, 2u);
 }
 
-// --- baseline workflow -------------------------------------------------------
-
-TEST(LintBaseline, MatchingEntryAbsorbsFinding) {
-  const auto r = run_fixture("baseline_match");
+TEST(LintFixtures, UnknownRuleInSuppressionIsAFinding) {
+  const auto r = run_fixture("unknown_rule");
   EXPECT_FALSE(r.io_error) << r.error;
-  EXPECT_TRUE(r.findings.empty());
-  EXPECT_EQ(r.baselined, 1u);
-  EXPECT_TRUE(r.stale.empty());
-}
-
-TEST(LintBaseline, StaleEntryIsReported) {
-  lint::RunOptions opts;
-  opts.root = fixture("baseline_match");
-  opts.baseline_path =
-      fixture("baseline_match") + "/tools/pet_lint/baseline_stale.txt";
-  const auto r = lint::run(opts);
-  EXPECT_TRUE(r.findings.empty());
-  EXPECT_EQ(r.baselined, 1u);
-  ASSERT_EQ(r.stale.size(), 1u);
-  EXPECT_NE(r.stale[0].find("removed.cpp"), std::string::npos);
-}
-
-TEST(LintBaseline, NoBaselineFlagSurfacesGrandfatheredFinding) {
-  lint::RunOptions opts;
-  opts.root = fixture("baseline_match");
-  opts.use_baseline = false;
-  const auto r = lint::run(opts);
-  EXPECT_EQ(r.findings.size(), 1u);
-  EXPECT_EQ(r.baselined, 0u);
+  // allow-file(no-such-rule) and the dead id in allow(hot-path-alloc,
+  // banned-api) are findings; the live banned-api id still suppresses.
+  ASSERT_EQ(r.findings.size(), 2u);
+  EXPECT_EQ(count_rule(r, "unknown-rule"), 2u);
+  EXPECT_NE(r.findings[0].message.find("'no-such-rule'"), std::string::npos);
+  EXPECT_NE(r.findings[1].message.find("'hot-path-alloc'"), std::string::npos);
+  EXPECT_EQ(r.suppressed, 1u);
 }
 
 // --- targeted rule regressions (inline sources) ------------------------------
@@ -442,18 +334,35 @@ TEST(LintRules, DiscardedCheckpointLoadIsFlagged) {
   EXPECT_EQ(rep.findings[0].line, 4);
 }
 
-TEST(LintRules, AllRuleIdsStable) {
-  const auto& ids = lint::all_rule_ids();
-  const std::vector<std::string> expected = {
-      "banned-api", "nondet-iteration", "unaudited-ecn", "nodiscard-chain",
-      "header-hygiene", "hot-path-alloc", "quantize-narrowing",
-      "layer-order", "include-hygiene-v2", "lock-discipline"};
-  for (const auto& id : expected) {
-    EXPECT_NE(std::find(ids.begin(), ids.end(), id), ids.end()) << id;
-  }
+TEST(LintRules, SnapshotChainCallsMustBeConsumed) {
+  const auto rep = analyze("src/rl/snapshot.cpp",
+                           "#include \"rl/snapshot.hpp\"\n"
+                           "namespace pet::rl {\n"
+                           "bool quantize(const Weights& w);\n"
+                           "void serve(Snapshot& s, const Snapshot& o) {\n"
+                           "  s.quantize(w);\n"
+                           "  s.install(o);\n"
+                           "  if (!s.refresh(o)) return;\n"
+                           "}\n"
+                           "}  // namespace pet::rl\n");
+  // The un-annotated declaration and the two dropped results; the consumed
+  // refresh() is fine.
+  ASSERT_EQ(rep.findings.size(), 3u);
+  for (const auto& f : rep.findings) EXPECT_EQ(f.rule, "nodiscard-chain");
+  EXPECT_EQ(rep.findings[0].line, 3);
+  EXPECT_EQ(rep.findings[1].line, 5);
+  EXPECT_EQ(rep.findings[2].line, 6);
 }
 
-// --- declaration index -------------------------------------------------------
+TEST(LintRules, AllRuleIdsStable) {
+  const std::vector<std::string> expected = {
+      "banned-api",      "nondet-iteration", "unaudited-ecn",
+      "nodiscard-chain", "header-hygiene",   "layer-order",
+      "orphan-header",   "lock-discipline"};
+  EXPECT_EQ(lint::all_rule_ids(), expected);
+}
+
+// --- declaration scan --------------------------------------------------------
 
 lint::FileDecls scan(const std::string& path, const char* src) {
   return lint::scan_decls(path, lint::tokenize(src));
@@ -492,19 +401,6 @@ TEST(LintDeclIndex, NestedClassesCarryTheOwnerChain) {
   EXPECT_EQ(beat->owner, "Outer");
 }
 
-TEST(LintDeclIndex, OutOfLineMembersAreNotFreeFunctions) {
-  const auto f = scan("src/sim/outer.cpp",
-                      "#include \"sim/outer.hpp\"\n"
-                      "namespace pet::sim {\n"
-                      "void Outer::tick() { beat_ += 1; }\n"
-                      "int heartbeat() { return 1; }\n"
-                      "}  // namespace pet::sim\n");
-  // `Outer::tick` belongs to the class's header, not this TU; the plain
-  // free function is indexed.
-  EXPECT_EQ(find_decl(f, "tick", lint::DeclKind::kFunction), nullptr);
-  EXPECT_NE(find_decl(f, "heartbeat", lint::DeclKind::kFunction), nullptr);
-}
-
 TEST(LintDeclIndex, TemplatesAndAnnotationsAndSyncTypes) {
   const auto f = scan(
       "src/sim/ring.hpp",
@@ -517,8 +413,6 @@ TEST(LintDeclIndex, TemplatesAndAnnotationsAndSyncTypes) {
       "  T slots_[N] PET_GUARDED_BY(mu_);\n"
       "  const int capacity_ = N;\n"
       "};\n"
-      "template <typename T>\n"
-      "[[nodiscard]] T clamp_load(T v);\n"
       "}  // namespace pet::sim\n");
   const auto* ring = find_decl(f, "Ring", lint::DeclKind::kClass);
   ASSERT_NE(ring, nullptr);
@@ -533,35 +427,6 @@ TEST(LintDeclIndex, TemplatesAndAnnotationsAndSyncTypes) {
   const auto* cap = find_decl(f, "capacity_", lint::DeclKind::kField);
   ASSERT_NE(cap, nullptr);
   EXPECT_TRUE(cap->immutable);
-  EXPECT_NE(find_decl(f, "clamp_load", lint::DeclKind::kFunction), nullptr);
-}
-
-TEST(LintDeclIndex, IfGuardedDuplicatesCollapseInTheIndex) {
-  const auto f = scan("src/sim/dup.hpp",
-                      "#pragma once\n"
-                      "namespace pet::sim {\n"
-                      "#if defined(PET_FAST)\n"
-                      "struct Dup {\n"
-                      "  int mode_ = 0;\n"
-                      "};\n"
-                      "#else\n"
-                      "struct Dup {\n"
-                      "  int mode_ = 1;\n"
-                      "};\n"
-                      "#endif\n"
-                      "}  // namespace pet::sim\n");
-  lint::DeclIndex index;
-  index.add(f);
-  std::size_t dup_classes = 0;
-  std::size_t mode_fields = 0;
-  for (const auto& d : index.decls()) {
-    dup_classes += (d.name == "Dup" && d.kind == lint::DeclKind::kClass);
-    mode_fields += (d.name == "mode_" && d.kind == lint::DeclKind::kField);
-  }
-  EXPECT_EQ(dup_classes, 1u);
-  EXPECT_EQ(mode_fields, 1u);
-  // The collapsed decl still resolves uniquely.
-  EXPECT_NE(index.unique_decl("Dup", lint::DeclKind::kClass), nullptr);
 }
 
 TEST(LintDeclIndex, ForwardDeclarationsNeverDefine) {
@@ -570,9 +435,7 @@ TEST(LintDeclIndex, ForwardDeclarationsNeverDefine) {
                       "namespace pet::sim {\n"
                       "class Elsewhere;\n"
                       "}  // namespace pet::sim\n");
-  lint::DeclIndex index;
-  index.add(f);
-  EXPECT_EQ(index.unique_decl("Elsewhere", lint::DeclKind::kClass), nullptr);
+  EXPECT_EQ(find_decl(f, "Elsewhere", lint::DeclKind::kClass), nullptr);
 }
 
 // --- cross-TU rules on fixture trees -----------------------------------------
@@ -582,14 +445,14 @@ TEST(LintPolicy, CrossTuRulesActivateUnderSrcOnly) {
                         "src/rl/ppo.hpp"}) {
     const lint::Policy pol = lint::policy_for(p);
     EXPECT_TRUE(pol.layer_order) << p;
-    EXPECT_TRUE(pol.include_hygiene_v2) << p;
+    EXPECT_TRUE(pol.orphan_header) << p;
     EXPECT_TRUE(pol.lock_discipline) << p;
   }
   for (const char* p : {"tests/test_sweep.cpp", "tools/pet_lint/main.cpp",
                         "bench/micro_sim.cpp", "examples/quickstart.cpp"}) {
     const lint::Policy pol = lint::policy_for(p);
     EXPECT_FALSE(pol.layer_order) << p;
-    EXPECT_FALSE(pol.include_hygiene_v2) << p;
+    EXPECT_FALSE(pol.orphan_header) << p;
     EXPECT_FALSE(pol.lock_discipline) << p;
   }
 }
@@ -615,29 +478,13 @@ TEST(LintProject, LayerOrderCatchesClimbAndCycleHonorsAllow) {
   EXPECT_EQ(r.suppressed, 1u);
 }
 
-TEST(LintProject, IncludeHygieneV2TransitiveUseAndOrphanHeader) {
-  const auto r = run_fixture("hygiene2");
+TEST(LintProject, OrphanHeaderIsFlagged) {
+  const auto r = run_fixture("orphan");
   EXPECT_FALSE(r.io_error) << r.error;
-  // user.cpp names Widget but only reaches its header transitively;
-  // orphan.hpp is included by nothing. user_ok.cpp includes what it uses
-  // and user_allowed.cpp carries a justification.
-  ASSERT_EQ(count_rule(r, "include-hygiene-v2"), 2u);
-  bool saw_transitive = false;
-  bool saw_orphan = false;
-  for (const auto& f : r.findings) {
-    if (f.rule != "include-hygiene-v2") continue;
-    saw_transitive =
-        saw_transitive ||
-        (f.path == "src/net/user.cpp" &&
-         f.message.find("Widget") != std::string::npos &&
-         f.message.find("src/sim/widget.hpp") != std::string::npos);
-    saw_orphan = saw_orphan || (f.path == "src/net/orphan.hpp" &&
-                                f.message.find("orphan") != std::string::npos);
-  }
-  EXPECT_TRUE(saw_transitive);
-  EXPECT_TRUE(saw_orphan);
-  EXPECT_EQ(r.findings.size(), 2u);
-  EXPECT_EQ(r.suppressed, 1u);
+  // orphan.hpp is included by nothing; api.hpp and widget.hpp are reached.
+  ASSERT_EQ(r.findings.size(), 1u);
+  EXPECT_EQ(r.findings[0].rule, "orphan-header");
+  EXPECT_EQ(r.findings[0].path, "src/net/orphan.hpp");
 }
 
 TEST(LintProject, LockDisciplineUnlockedAccessAndUnannotatedField) {
@@ -673,7 +520,7 @@ TEST(LintProject, CrossTuPassInactiveWithoutLayerMap) {
   const auto r = run_fixture("sortorder");
   EXPECT_FALSE(r.io_error) << r.error;
   EXPECT_EQ(count_rule(r, "layer-order"), 0u);
-  EXPECT_EQ(count_rule(r, "include-hygiene-v2"), 0u);
+  EXPECT_EQ(count_rule(r, "orphan-header"), 0u);
   EXPECT_EQ(count_rule(r, "lock-discipline"), 0u);
 }
 
@@ -695,105 +542,6 @@ TEST(LintDriver, FindingsComeBackInByteWisePathOrder) {
   EXPECT_EQ(r.findings[0].path, "src/a-c/f.hpp");
   EXPECT_EQ(r.findings[1].path, "src/a/f.hpp");
   EXPECT_EQ(r.findings[2].path, "src/ab/f.hpp");
-}
-
-// --- machine-readable output -------------------------------------------------
-
-TEST(LintDriver, JsonReportParsesWithTheRepoJsonParser) {
-  const auto r = run_fixture("lockdisc");
-  const std::string doc = lint::render_json(r);
-  std::string err;
-  const auto parsed = pet::exp::JsonValue::parse(doc, &err);
-  ASSERT_TRUE(parsed.has_value()) << err;
-  ASSERT_TRUE(parsed->is_object());
-  const auto* schema = parsed->find("schema");
-  ASSERT_NE(schema, nullptr);
-  EXPECT_EQ(schema->as_string(), "pet.lint-findings/1");
-  const auto* findings = parsed->find("findings");
-  ASSERT_NE(findings, nullptr);
-  ASSERT_TRUE(findings->is_array());
-  ASSERT_EQ(findings->size(), r.findings.size());
-  for (std::size_t i = 0; i < findings->size(); ++i) {
-    const auto& f = findings->at(i);
-    ASSERT_TRUE(f.is_object());
-    EXPECT_EQ(f.find("rule")->as_string(), r.findings[i].rule);
-    EXPECT_EQ(f.find("path")->as_string(), r.findings[i].path);
-    EXPECT_EQ(static_cast<std::int32_t>(f.find("line")->as_number()),
-              r.findings[i].line);
-  }
-  const auto* summary = parsed->find("summary");
-  ASSERT_NE(summary, nullptr);
-  EXPECT_EQ(static_cast<std::size_t>(summary->find("findings")->as_number()),
-            r.findings.size());
-  EXPECT_EQ(static_cast<std::size_t>(summary->find("suppressed")->as_number()),
-            r.suppressed);
-}
-
-// --- graph artifact ----------------------------------------------------------
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
-
-TEST(LintGraph, ArtifactIsByteStableAndValidJson) {
-  const std::string out_a = testing::TempDir() + "/pet_lint_graph_a.json";
-  const std::string out_b = testing::TempDir() + "/pet_lint_graph_b.json";
-  for (const std::string& out : {out_a, out_b}) {
-    lint::RunOptions opts;
-    opts.root = fixture("layer");
-    opts.graph_path = out;
-    const auto r = lint::run(opts);
-    EXPECT_FALSE(r.io_error) << r.error;
-  }
-  const std::string doc_a = slurp(out_a);
-  ASSERT_FALSE(doc_a.empty());
-  EXPECT_EQ(doc_a, slurp(out_b));  // byte-identical across runs
-
-  std::string err;
-  const auto parsed = pet::exp::JsonValue::parse(doc_a, &err);
-  ASSERT_TRUE(parsed.has_value()) << err;
-  EXPECT_EQ(parsed->find("schema")->as_string(), "pet.lint-graph/1");
-  const auto* layers = parsed->find("layers");
-  ASSERT_NE(layers, nullptr);
-  ASSERT_TRUE(layers->is_array());
-  ASSERT_EQ(layers->size(), 3u);  // sim / net / exp tiers
-  EXPECT_EQ(layers->at(0).at(0).as_string(), "sim");
-  const auto* nodes = parsed->find("nodes");
-  ASSERT_NE(nodes, nullptr);
-  ASSERT_TRUE(nodes->is_array());
-  EXPECT_EQ(static_cast<std::size_t>(
-                parsed->find("file_count")->as_number()),
-            nodes->size());
-  bool saw_climb = false;
-  for (const auto& n : nodes->items()) {
-    if (n.find("path")->as_string() != "src/net/climb.hpp") continue;
-    saw_climb = true;
-    EXPECT_EQ(n.find("layer")->as_string(), "net");
-    const auto* includes = n.find("includes");
-    ASSERT_NE(includes, nullptr);
-    ASSERT_EQ(includes->size(), 1u);
-    EXPECT_EQ(includes->at(0).as_string(), "src/exp/top.hpp");
-  }
-  EXPECT_TRUE(saw_climb);
-}
-
-TEST(LintGraph, VerifyGraphFlagsStaleArtifact) {
-  const std::string out = testing::TempDir() + "/pet_lint_graph_stale.json";
-  {
-    std::ofstream f(out, std::ios::binary);
-    f << "{\"schema\": \"pet.lint-graph/1\"}\n";  // wrong bytes
-  }
-  lint::RunOptions opts;
-  opts.root = fixture("layer");
-  opts.verify_graph_path = out;
-  const auto r = lint::run(opts);
-  EXPECT_FALSE(r.io_error) << r.error;
-  EXPECT_TRUE(r.graph_stale);
-  const std::string rendered = lint::render(r);
-  EXPECT_NE(rendered.find("stale graph artifact"), std::string::npos);
 }
 
 }  // namespace

@@ -36,12 +36,6 @@ namespace {
   return fs::relative(p, root).generic_string();
 }
 
-[[nodiscard]] fs::path resolve_against(const fs::path& root,
-                                       const std::string& p) {
-  const fs::path path(p);
-  return path.is_absolute() ? path : root / path;
-}
-
 }  // namespace
 
 const std::vector<std::string>& lint_roots() {
@@ -126,9 +120,6 @@ RunResult run(const RunOptions& opts) {
     pf.decls = scan_decls(rel, pf.toks);
     pf.policy = policy_for(rel);
     model.graph.add_file(rel, pf.toks);
-    if (ends_with(rel, ".hpp") && rel.rfind("src/", 0) == 0) {
-      model.header_index.add(pf.decls);
-    }
     contents.emplace(rel, std::move(content));
     model.files.emplace(rel, std::move(pf));
   }
@@ -147,48 +138,8 @@ RunResult run(const RunOptions& opts) {
   }
   model.graph.finalize(model.layers);
 
-  // ---- graph artifact ------------------------------------------------------
-  if (!opts.graph_path.empty() || !opts.verify_graph_path.empty()) {
-    const std::string artifact = model.graph.to_json(model.layers);
-    if (!opts.verify_graph_path.empty()) {
-      const fs::path committed = resolve_against(root, opts.verify_graph_path);
-      bool ok = false;
-      const std::string existing = read_file(committed, &ok);
-      if (!ok) {
-        result.io_error = true;
-        result.error = "cannot read " + committed.string();
-        return result;
-      }
-      result.graph_stale = existing != artifact;
-    }
-    if (!opts.graph_path.empty()) {
-      const fs::path out_path = resolve_against(root, opts.graph_path);
-      std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-      out << artifact;
-      if (!out) {
-        result.io_error = true;
-        result.error = "cannot write " + out_path.string();
-        return result;
-      }
-    }
-  }
-
-  Baseline baseline;
-  if (opts.use_baseline && !opts.write_baseline) {
-    const std::string bl_path =
-        opts.baseline_path.empty()
-            ? (root / "tools/pet_lint/baseline.txt").string()
-            : opts.baseline_path;
-    const auto loaded = baseline.load(bl_path);
-    if (!loaded.ok) {
-      result.io_error = true;
-      result.error = loaded.error;
-      return result;
-    }
-  }
-
   // ---- pass 2: per-file rules, then cross-TU rules -------------------------
-  std::vector<Finding> all;
+  std::vector<Finding>& all = result.findings;
   for (const std::string& rel : report_set) {
     const auto cit = contents.find(rel);
     if (cit == contents.end()) {
@@ -234,29 +185,6 @@ RunResult run(const RunOptions& opts) {
     if (a.path != b.path) return byte_less(a.path, b.path);
     return std::tie(a.line, a.col, a.rule) < std::tie(b.line, b.col, b.rule);
   });
-
-  if (opts.write_baseline) {
-    const std::string bl_path =
-        opts.baseline_path.empty()
-            ? (root / "tools/pet_lint/baseline.txt").string()
-            : opts.baseline_path;
-    std::ofstream out(bl_path, std::ios::binary | std::ios::trunc);
-    out << Baseline::serialize(all);
-    if (!out) {
-      result.io_error = true;
-      result.error = "cannot write " + bl_path;
-    }
-    return result;  // everything grandfathered by construction
-  }
-
-  for (Finding& f : all) {
-    if (opts.use_baseline && baseline.absorb(f)) {
-      ++result.baselined;
-    } else {
-      result.findings.push_back(std::move(f));
-    }
-  }
-  if (opts.use_baseline) result.stale = baseline.unmatched();
   return result;
 }
 
@@ -266,60 +194,10 @@ std::string render(const RunResult& result) {
     out << f.path << ":" << f.line << ":" << f.col << ": [" << f.rule << "] "
         << f.message << "\n      " << f.line_text << "\n";
   }
-  for (const std::string& stale : result.stale) {
-    out << "stale baseline entry (fixed or moved — prune it): " << stale
-        << "\n";
-  }
-  if (result.graph_stale) {
-    out << "stale graph artifact: the committed pet.lint-graph/1 file does "
-           "not match the tree — regenerate with --graph=\n";
-  }
   out << "pet_lint: " << result.findings.size() << " finding(s), "
-      << result.baselined << " baselined, " << result.suppressed
-      << " suppressed, " << result.stale.size() << " stale baseline entr"
-      << (result.stale.size() == 1 ? "y" : "ies") << " across "
-      << result.files_scanned << " files\n";
+      << result.suppressed << " suppressed across " << result.files_scanned
+      << " files\n";
   return out.str();
-}
-
-std::string render_json(const RunResult& result) {
-  std::string out;
-  out += "{\n  \"schema\": \"pet.lint-findings/1\",\n  \"findings\": [";
-  bool first = true;
-  for (const Finding& f : result.findings) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    {\"rule\": ";
-    append_json_string(out, f.rule);
-    out += ", \"path\": ";
-    append_json_string(out, f.path);
-    out += ", \"line\": " + std::to_string(f.line);
-    out += ", \"col\": " + std::to_string(f.col);
-    out += ", \"message\": ";
-    append_json_string(out, f.message);
-    out += ", \"text\": ";
-    append_json_string(out, f.line_text);
-    out += "}";
-  }
-  out += first ? "],\n" : "\n  ],\n";
-  out += "  \"stale_baseline\": [";
-  first = true;
-  for (const std::string& s : result.stale) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    ";
-    append_json_string(out, s);
-  }
-  out += first ? "],\n" : "\n  ],\n";
-  out += "  \"summary\": {\"files_scanned\": " +
-         std::to_string(result.files_scanned);
-  out += ", \"findings\": " + std::to_string(result.findings.size());
-  out += ", \"suppressed\": " + std::to_string(result.suppressed);
-  out += ", \"baselined\": " + std::to_string(result.baselined);
-  out += ", \"graph_stale\": ";
-  out += result.graph_stale ? "true" : "false";
-  out += "}\n}\n";
-  return out;
 }
 
 }  // namespace pet::lint

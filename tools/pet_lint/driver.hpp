@@ -1,45 +1,31 @@
 #pragma once
 // Tree walker + reporting for pet_lint. Two passes:
-//   pass 1 reads and tokenizes every lintable file, builds the project
-//          model (include graph + declaration index + layer map), and
-//          optionally exports the pet.lint-graph/1 artifact;
+//   pass 1 reads and tokenizes every lintable file and builds the project
+//          model (include graph + declarations + layer map);
 //   pass 2 runs the per-file rules on each file and the cross-TU rules
-//          (layer-order, include-hygiene-v2, lock-discipline) over the
-//          model, filters through suppressions and the committed baseline,
-//          and renders findings.
+//          (layer-order, orphan-header, lock-discipline) over the model,
+//          filters through suppressions, and renders findings.
 
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "baseline.hpp"
 #include "rules.hpp"
 
 namespace pet::lint {
 
 struct RunOptions {
-  std::string root;           // repo root (absolute or relative)
-  std::string baseline_path;  // empty → <root>/tools/pet_lint/baseline.txt
-  bool use_baseline = true;
-  bool write_baseline = false;
+  std::string root;  // repo root (absolute or relative)
   /// Explicit repo-relative files to lint instead of the default walk.
   /// (The project model is still built from the full walk so cross-TU
   /// rules see the whole tree.)
   std::vector<std::string> files;
-  /// Write the pet.lint-graph/1 artifact here (root-relative or absolute).
-  std::string graph_path;
-  /// Byte-compare the freshly built artifact against this committed file
-  /// instead of writing; a mismatch is reported as graph_stale.
-  std::string verify_graph_path;
 };
 
 struct RunResult {
-  std::vector<Finding> findings;       // after baseline filtering
-  std::vector<std::string> stale;      // unmatched baseline entries
+  std::vector<Finding> findings;
   std::size_t files_scanned = 0;
   std::size_t suppressed = 0;
-  std::size_t baselined = 0;
-  bool graph_stale = false;  // --verify-graph mismatch
   bool io_error = false;
   std::string error;
 };
@@ -51,9 +37,9 @@ struct RunResult {
 /// generated/vendored paths are excluded here.
 [[nodiscard]] bool is_lintable(const std::string& relpath);
 
-/// Byte-wise path ordering (unsigned char), so finding order and the
-/// counted-multiset baseline are identical across filesystems and locales —
-/// directory iteration order and std::filesystem::path collation are not.
+/// Byte-wise path ordering (unsigned char), so finding order is identical
+/// across filesystems and locales — directory iteration order and
+/// std::filesystem::path collation are not.
 [[nodiscard]] bool byte_less(std::string_view a, std::string_view b);
 
 /// Walk + analyze. Deterministic: files are visited in byte_less path
@@ -62,8 +48,5 @@ struct RunResult {
 
 /// Render findings in file:line:col: [rule] message form.
 [[nodiscard]] std::string render(const RunResult& result);
-
-/// Render the run as a pet.lint-findings/1 JSON document (--format=json).
-[[nodiscard]] std::string render_json(const RunResult& result);
 
 }  // namespace pet::lint

@@ -1,6 +1,7 @@
 #include "graph.hpp"
 
 #include <algorithm>
+#include <set>
 
 namespace pet::lint {
 
@@ -70,8 +71,8 @@ namespace {
 
 bool LayerMap::parse(std::string_view content) {
   ranks_.clear();
-  tiers_.clear();
   error_.clear();
+  std::int32_t rank = 0;
   std::size_t start = 0;
   for (std::size_t i = 0; i <= content.size(); ++i) {
     if (i != content.size() && content[i] != '\n') continue;
@@ -95,18 +96,16 @@ bool LayerMap::parse(std::string_view content) {
       pos = end;
     }
     if (names.empty()) continue;
-    const auto rank = static_cast<std::int32_t>(tiers_.size());
     for (const std::string& name : names) {
       if (!ranks_.emplace(name, rank).second) {
         error_ = "layer '" + name + "' declared twice";
         ranks_.clear();
-        tiers_.clear();
         return false;
       }
     }
-    tiers_.push_back(std::move(names));
+    ++rank;
   }
-  if (tiers_.empty()) {
+  if (ranks_.empty()) {
     error_ = "layer map is empty";
     return false;
   }
@@ -169,27 +168,11 @@ void IncludeGraph::finalize(const LayerMap& layers) {
     std::sort(by.begin(), by.end());
     by.erase(std::unique(by.begin(), by.end()), by.end());
   }
-  finalized_ = true;
 }
 
 const GraphNode* IncludeGraph::node(std::string_view relpath) const {
   const auto it = nodes_.find(std::string(relpath));
   return it == nodes_.end() ? nullptr : &it->second;
-}
-
-std::set<std::string> IncludeGraph::closure(const std::string& relpath) const {
-  std::set<std::string> seen;
-  std::vector<const GraphNode*> work;
-  if (const GraphNode* start = node(relpath)) work.push_back(start);
-  while (!work.empty()) {
-    const GraphNode* n = work.back();
-    work.pop_back();
-    for (const IncludeEdge& e : n->includes) {
-      if (e.target.empty() || !seen.insert(e.target).second) continue;
-      if (const GraphNode* next = node(e.target)) work.push_back(next);
-    }
-  }
-  return seen;
 }
 
 std::vector<std::vector<std::string>> IncludeGraph::cycles() const {
@@ -252,98 +235,6 @@ std::vector<std::vector<std::string>> IncludeGraph::cycles() const {
     }
   }
   std::sort(out.begin(), out.end());
-  return out;
-}
-
-void append_json_string(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          static const char* kHex = "0123456789abcdef";
-          out += "\\u00";
-          out.push_back(kHex[(ch >> 4) & 0xf]);
-          out.push_back(kHex[ch & 0xf]);
-        } else {
-          out.push_back(ch);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-std::string IncludeGraph::to_json(const LayerMap& layers) const {
-  // Deterministic by construction: nodes_ is an ordered map, edge lists are
-  // sorted, and layer tiers come from the parsed file in declaration order.
-  std::string out;
-  out += "{\n  \"schema\": \"pet.lint-graph/1\",\n  \"layers\": [";
-  for (std::size_t t = 0; t < layers.tiers().size(); ++t) {
-    out += t == 0 ? "[" : ", [";
-    const auto& tier = layers.tiers()[t];
-    for (std::size_t i = 0; i < tier.size(); ++i) {
-      if (i != 0) out += ", ";
-      append_json_string(out, tier[i]);
-    }
-    out += "]";
-  }
-  out += "],\n";
-
-  std::size_t edge_count = 0;
-  std::map<std::pair<std::string, std::string>, std::int64_t> layer_edges;
-  for (const auto& [path, node] : nodes_) {
-    for (const IncludeEdge& e : node.includes) {
-      if (e.target.empty()) continue;
-      ++edge_count;
-      const GraphNode* tgt = this->node(e.target);
-      if (!node.layer.empty() && tgt != nullptr && !tgt->layer.empty()) {
-        ++layer_edges[{node.layer, tgt->layer}];
-      }
-    }
-  }
-  out += "  \"file_count\": " + std::to_string(nodes_.size()) + ",\n";
-  out += "  \"edge_count\": " + std::to_string(edge_count) + ",\n";
-  out += "  \"layer_edges\": [";
-  bool first = true;
-  for (const auto& [pair, count] : layer_edges) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    {\"from\": ";
-    append_json_string(out, pair.first);
-    out += ", \"to\": ";
-    append_json_string(out, pair.second);
-    out += ", \"count\": " + std::to_string(count) + "}";
-  }
-  out += first ? "],\n" : "\n  ],\n";
-  out += "  \"nodes\": [";
-  first = true;
-  for (const auto& [path, node] : nodes_) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    {\"path\": ";
-    append_json_string(out, path);
-    out += ", \"layer\": ";
-    append_json_string(out, node.layer);
-    out += ", \"in_degree\": " + std::to_string(node.included_by.size());
-    out += ", \"includes\": [";
-    std::vector<std::string> targets;
-    for (const IncludeEdge& e : node.includes) {
-      if (!e.target.empty()) targets.push_back(e.target);
-    }
-    std::sort(targets.begin(), targets.end());
-    targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-      if (i != 0) out += ", ";
-      append_json_string(out, targets[i]);
-    }
-    out += "]}";
-  }
-  out += first ? "]\n}\n" : "\n  ]\n}\n";
   return out;
 }
 

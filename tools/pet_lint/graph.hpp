@@ -5,8 +5,7 @@
 // #include directives only; system includes are outside the project model).
 // Include targets are resolved lexically against the scanned file set —
 // no filesystem probing, so the graph is a pure function of file contents
-// and the scanned path list, and the `pet.lint-graph/1` JSON export is
-// byte-identical across runs, machines, and locales.
+// and the scanned path list.
 //
 // The layer map (tools/pet_lint/layers.txt) assigns each src/<dir>/ a rank,
 // bottom layer first; names on the same line share a rank. An include edge
@@ -17,7 +16,6 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -54,14 +52,10 @@ class LayerMap {
   /// Layer name for a repo-relative path (`src/<layer>/...`), or "" when
   /// the path is outside src/ or its directory is not in the map.
   [[nodiscard]] std::string layer_of(std::string_view relpath) const;
-  [[nodiscard]] const std::vector<std::vector<std::string>>& tiers() const {
-    return tiers_;
-  }
   [[nodiscard]] const std::string& error() const { return error_; }
 
  private:
   std::map<std::string, std::int32_t, std::less<>> ranks_;
-  std::vector<std::vector<std::string>> tiers_;  // bottom first
   std::string error_;
 };
 
@@ -74,31 +68,15 @@ class IncludeGraph {
   /// included_by lists, and assign layers. Call once after all add_file().
   void finalize(const LayerMap& layers);
 
-  [[nodiscard]] const std::map<std::string, GraphNode>& nodes() const {
-    return nodes_;
-  }
   [[nodiscard]] const GraphNode* node(std::string_view relpath) const;
-
-  /// Transitive include closure of `relpath` (resolved edges only; does not
-  /// contain `relpath` itself unless it is part of a cycle).
-  [[nodiscard]] std::set<std::string> closure(const std::string& relpath) const;
 
   /// Include cycles, deterministically ordered. Each cycle is reported once,
   /// rotated so its lexicographically smallest path comes first, as the
   /// path sequence [a, b, ..., a].
   [[nodiscard]] std::vector<std::vector<std::string>> cycles() const;
 
-  /// The `pet.lint-graph/1` artifact: schema id, layer map, per-layer edge
-  /// counts, and every node with its resolved includes. Byte-deterministic.
-  [[nodiscard]] std::string to_json(const LayerMap& layers) const;
-
  private:
   std::map<std::string, GraphNode> nodes_;
-  bool finalized_ = false;
 };
-
-/// Append `s` to `out` as a JSON string literal (quotes + escaping).
-/// Shared by the graph artifact and --format=json finding output.
-void append_json_string(std::string& out, std::string_view s);
 
 }  // namespace pet::lint

@@ -1,16 +1,12 @@
 #include "index.hpp"
 
-#include <algorithm>
-#include <array>
 #include <set>
+#include <string_view>
+#include <utility>
 
 namespace pet::lint {
 
 namespace {
-
-[[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.substr(0, prefix.size()) == prefix;
-}
 
 const std::set<std::string_view>& builtin_type_names() {
   static const std::set<std::string_view> kNames = {
@@ -39,21 +35,6 @@ const std::set<std::string_view>& builtin_type_names() {
   if (name == "PET_THREAD_CONFINED") return SyncNote::kThreadConfined;
   if (name == "PET_READ_SHARED") return SyncNote::kReadShared;
   return SyncNote::kNone;
-}
-
-/// Macro name from a joined `#define ...` directive body.
-[[nodiscard]] std::string define_name(std::string_view text) {
-  std::size_t pos = text.find("define");
-  if (pos == std::string_view::npos) return {};
-  pos += 6;
-  while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\t')) ++pos;
-  std::size_t end = pos;
-  while (end < text.size() &&
-         (std::isalnum(static_cast<unsigned char>(text[end])) != 0 ||
-          text[end] == '_')) {
-    ++end;
-  }
-  return std::string(text.substr(pos, end - pos));
 }
 
 class Scanner {
@@ -166,12 +147,6 @@ class Scanner {
     while (!done()) {
       const Token& t = *t_[i_];
       if (t.kind == TokKind::kDirective) {
-        if (starts_with(t.text, "#") &&
-            t.text.find("define") != std::string::npos &&
-            t.text.find("define") < 4) {
-          Decl d;
-          record(define_name(t.text), DeclKind::kMacro, t.line, d);
-        }
         ++i_;
         continue;
       }
@@ -217,7 +192,7 @@ class Scanner {
         parse_class_like(in_class);
         continue;
       }
-      parse_statement(in_class);
+      parse_statement();
     }
   }
 
@@ -280,16 +255,13 @@ class Scanner {
           skip_to_semicolon();
           return;
         }
-        if (is_p(i_, ";")) {
-          Decl d;
-          d.forward_only = true;
-          record(name, DeclKind::kClass, name_line, d);
+        if (is_p(i_, ";")) {  // forward declaration
           ++i_;
           return;
         }
         if (is_p(i_, ":")) seen_colon = true;
         if (!seen_colon && is_ident(i_) && !is_id(i_, "final")) {
-          parse_statement(in_class);
+          parse_statement();
           return;
         }
         if (is_p(i_, "}")) return;  // malformed; let caller close the scope
@@ -301,14 +273,12 @@ class Scanner {
   /// Generic declaration statement at namespace or class scope: a field /
   /// variable, a function declaration, or a function definition (body
   /// skipped). Extracts the declared name and any PET_* annotation.
-  void parse_statement(bool in_class) {
+  void parse_statement() {
     const std::int32_t first_line = done() ? 0 : t_[i_]->line;
     int depth = 0;  // () and []
     int angle = 0;
     bool seen_eq = false;
     bool is_func = false;
-    bool func_qualified = false;
-    std::string func_name;
     std::string name;  // last top-level identifier (declarator candidate)
     std::int32_t name_line = first_line;
     Decl extra;
@@ -317,11 +287,6 @@ class Scanner {
     while (!done()) {
       const Token& t = *t_[i_];
       if (t.kind == TokKind::kDirective) {
-        if (t.text.find("define") != std::string::npos &&
-            t.text.find("define") < 4) {
-          Decl d;
-          record(define_name(t.text), DeclKind::kMacro, t.line, d);
-        }
         ++i_;
         continue;
       }
@@ -360,11 +325,8 @@ class Scanner {
       if (t.kind == TokKind::kPunct) {
         const std::string& p = t.text;
         if (p == "(") {
-          if (depth == 0 && angle == 0 && !seen_eq && !is_func &&
-              prev_ident + 1 == i_) {
+          if (depth == 0 && angle == 0 && !seen_eq && prev_ident + 1 == i_) {
             is_func = true;
-            func_name = t_[prev_ident]->text;
-            func_qualified = prev_ident > 0 && is_p(prev_ident - 1, "::");
           }
           ++depth;
         } else if (p == "[") {
@@ -380,8 +342,7 @@ class Scanner {
           seen_eq = true;
         } else if (p == ";" && depth == 0 && angle == 0) {
           ++i_;
-          finish_statement(in_class, is_func, func_qualified, func_name, name,
-                           name_line, extra);
+          if (!is_func) record(name, DeclKind::kField, name_line, extra);
           return;
         } else if (p == "{" && depth == 0 && angle == 0) {
           if (seen_eq) {
@@ -390,8 +351,6 @@ class Scanner {
           }
           if (is_func) {
             skip_balanced("{", "}");  // function body
-            finish_statement(in_class, is_func, func_qualified, func_name,
-                             name, name_line, extra);
             return;
           }
           // Brace-init member: `std::atomic<bool> stop_{false};`
@@ -409,29 +368,7 @@ class Scanner {
       }
       ++i_;  // literals etc.
     }
-    finish_statement(in_class, is_func, func_qualified, func_name, name,
-                     name_line, extra);
-  }
-
-  void finish_statement(bool in_class, bool is_func, bool func_qualified,
-                        const std::string& func_name, const std::string& name,
-                        std::int32_t name_line, Decl& extra) {
-    if (is_func) {
-      // Methods are not indexed; out-of-line qualified definitions
-      // (`T Foo::bar() {}`) belong to their class's header, not this TU.
-      if (!in_class && !func_qualified && !func_name.empty()) {
-        Decl d;
-        record(func_name, DeclKind::kFunction, name_line, d);
-      }
-      return;
-    }
-    if (!in_class && owners_.empty()) {
-      // Namespace-scope variable: recorded for the lock rule's benefit
-      // (owner stays empty); annotations carry over.
-      record(name, DeclKind::kField, name_line, extra);
-      return;
-    }
-    record(name, DeclKind::kField, name_line, extra);
+    if (!is_func) record(name, DeclKind::kField, name_line, extra);
   }
 
   const std::string& path_;
@@ -446,36 +383,6 @@ class Scanner {
 FileDecls scan_decls(const std::string& relpath,
                      const std::vector<Token>& toks) {
   return Scanner(relpath, toks).run();
-}
-
-void DeclIndex::add(const FileDecls& file) {
-  for (const Decl& d : file.decls) {
-    std::string key = d.path;
-    key.push_back('|');
-    key.push_back(static_cast<char>('0' + static_cast<int>(d.kind)));
-    key.push_back('|');
-    key += d.owner;
-    key.push_back('|');
-    key += d.name;
-    if (dedupe_.count(key) != 0) continue;  // #if-guarded duplicate
-    dedupe_.emplace(std::move(key), decls_.size());
-    by_name_[d.name].push_back(decls_.size());
-    decls_.push_back(d);
-  }
-}
-
-const Decl* DeclIndex::unique_decl(std::string_view name,
-                                   DeclKind kind) const {
-  const auto it = by_name_.find(name);
-  if (it == by_name_.end()) return nullptr;
-  const Decl* found = nullptr;
-  for (const std::size_t idx : it->second) {
-    const Decl& d = decls_[idx];
-    if (d.kind != kind || d.forward_only) continue;
-    if (found != nullptr && found->path != d.path) return nullptr;  // ambiguous
-    if (found == nullptr) found = &d;
-  }
-  return found;
 }
 
 }  // namespace pet::lint

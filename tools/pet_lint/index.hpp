@@ -1,25 +1,19 @@
 #pragma once
-// Pass-1 project model, part 2: the declaration index.
+// Pass-1 project model, part 2: the declarations lock-discipline reads.
 //
-// A recursive-descent scan over the token stream that records the
-// declarations cross-TU rules care about: classes/structs/enums, free
-// functions at namespace scope, object-like and function-like macros, and
-// data members (with their PET_GUARDED_BY / PET_REQUIRES /
-// PET_THREAD_CONFINED / PET_READ_SHARED annotations, const-ness, and
-// whether the declared type is inherently synchronized — atomics, mutexes,
+// A recursive-descent scan over the token stream that records class/struct/
+// enum definitions and data members (with their PET_GUARDED_BY /
+// PET_THREAD_CONFINED / PET_READ_SHARED annotations, const-ness, and whether
+// the declared type is inherently synchronized — atomics, mutexes,
 // condition variables).
 //
 // This is a token scanner, not a compiler front end: it tracks namespace /
 // class / brace nesting and skips function bodies and template parameter
-// lists, which is enough to answer "which header defines symbol X" and
-// "which fields of class C are annotated how". Duplicate declarations from
-// `#if`-guarded branches collapse: the index keys on
-// (path, kind, owner, name) and keeps the first occurrence.
+// lists, which is enough to answer "which fields of class C are annotated
+// how". Forward declarations are not recorded.
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "lexer.hpp"
@@ -27,10 +21,8 @@
 namespace pet::lint {
 
 enum class DeclKind : std::uint8_t {
-  kClass,     // class/struct/enum definition
-  kFunction,  // free function at namespace scope (decl or def)
-  kField,     // data member (owner = enclosing class) or namespace-scope var
-  kMacro,     // #define
+  kClass,  // class/struct/enum definition
+  kField,  // data member (owner = enclosing class) or namespace-scope var
 };
 
 enum class SyncNote : std::uint8_t {
@@ -49,9 +41,8 @@ struct Decl {
                       // scope
   SyncNote note = SyncNote::kNone;
   std::string note_arg;  // mutex name for kGuardedBy, owner for confined
-  bool immutable = false;    // const/constexpr declaration
-  bool sync_type = false;    // atomic/mutex/cv/... — inherently synchronized
-  bool forward_only = false;  // `class X;` with no definition in this file
+  bool immutable = false;  // const/constexpr declaration
+  bool sync_type = false;  // atomic/mutex/cv/... — inherently synchronized
 };
 
 struct FileDecls {
@@ -62,26 +53,5 @@ struct FileDecls {
 /// Scan one file's tokens into its declaration list.
 [[nodiscard]] FileDecls scan_decls(const std::string& relpath,
                                    const std::vector<Token>& toks);
-
-/// Project-wide index over headers (and TUs, for the lock rule).
-class DeclIndex {
- public:
-  /// Merge one file's declarations. Duplicate (path, kind, owner, name)
-  /// tuples — e.g. from #if-guarded branches — are kept once.
-  void add(const FileDecls& file);
-
-  /// The unique defining declaration of `name` with kind `kind` across the
-  /// index, or nullptr when the name is undefined or ambiguous (defined in
-  /// more than one file). Forward declarations never define.
-  [[nodiscard]] const Decl* unique_decl(std::string_view name,
-                                        DeclKind kind) const;
-
-  [[nodiscard]] const std::vector<Decl>& decls() const { return decls_; }
-
- private:
-  std::vector<Decl> decls_;
-  std::map<std::string, std::vector<std::size_t>, std::less<>> by_name_;
-  std::map<std::string, std::size_t, std::less<>> dedupe_;
-};
 
 }  // namespace pet::lint

@@ -1,17 +1,12 @@
 // pet_lint CLI — the repo's determinism/audit invariants as a source gate.
 //
 // Usage:
-//   pet_lint [--root=DIR] [--baseline=FILE] [--no-baseline]
-//            [--write-baseline] [--list-rules] [--format=text|json]
-//            [--graph=FILE] [--verify-graph=FILE] [FILE...]
+//   pet_lint [--root=DIR] [--list-rules] [FILE...]
 //
 // With no --root, walks upward from the working directory looking for the
 // repo root (a directory containing src/ and tools/pet_lint/). FILE
-// arguments are repo-relative and replace the default walk. --graph writes
-// the pet.lint-graph/1 include-graph artifact; --verify-graph byte-compares
-// a committed artifact against the tree (mismatch fails the run). Exit
-// codes: 0 clean (stale baseline entries alone do not fail the run),
-// 1 findings or stale graph, 2 usage or I/O error.
+// arguments are repo-relative and replace the default walk. Exit codes:
+// 0 clean, 1 findings, 2 usage or I/O error.
 
 #include <cstdio>
 #include <filesystem>
@@ -40,44 +35,17 @@ namespace {
 }
 
 void usage(std::FILE* to) {
-  std::fprintf(
-      to,
-      "usage: pet_lint [--root=DIR] [--baseline=FILE] [--no-baseline]\n"
-      "                [--write-baseline] [--list-rules] "
-      "[--format=text|json]\n"
-      "                [--graph=FILE] [--verify-graph=FILE] [FILE...]\n");
+  std::fprintf(to, "usage: pet_lint [--root=DIR] [--list-rules] [FILE...]\n");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   pet::lint::RunOptions opts;
-  bool json = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto value = [&arg]() {
-      return arg.substr(arg.find('=') + 1);
-    };
     if (arg.rfind("--root=", 0) == 0) {
-      opts.root = value();
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      opts.baseline_path = value();
-    } else if (arg.rfind("--graph=", 0) == 0) {
-      opts.graph_path = value();
-    } else if (arg.rfind("--verify-graph=", 0) == 0) {
-      opts.verify_graph_path = value();
-    } else if (arg.rfind("--format=", 0) == 0) {
-      const std::string fmt = value();
-      if (fmt == "json") {
-        json = true;
-      } else if (fmt != "text") {
-        std::fprintf(stderr, "pet_lint: unknown format %s\n", fmt.c_str());
-        return 2;
-      }
-    } else if (arg == "--no-baseline") {
-      opts.use_baseline = false;
-    } else if (arg == "--write-baseline") {
-      opts.write_baseline = true;
+      opts.root = arg.substr(7);
     } else if (arg == "--list-rules") {
       for (const std::string& id : pet::lint::all_rule_ids()) {
         std::fprintf(stdout, "%s\n", id.c_str());
@@ -106,13 +74,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "pet_lint: %s\n", result.error.c_str());
     return 2;
   }
-  if (opts.write_baseline) {
-    std::fprintf(stdout, "pet_lint: baseline written (%zu files scanned)\n",
-                 result.files_scanned);
-    return 0;
-  }
-  const std::string report =
-      json ? pet::lint::render_json(result) : pet::lint::render(result);
+  const std::string report = pet::lint::render(result);
   std::fwrite(report.data(), 1, report.size(), stdout);
-  return result.findings.empty() && !result.graph_stale ? 0 : 1;
+  return result.findings.empty() ? 0 : 1;
 }

@@ -29,8 +29,8 @@ namespace {
 }
 
 /// Source line `n` of a token stream reconstructed cheaply: the trimmed
-/// text of the finding line for the baseline fingerprint. The project pass
-/// does not keep raw file contents, so rebuild the line from tokens on it.
+/// text echoed under a finding. The project pass does not keep raw file
+/// contents, so rebuild the line from tokens on it.
 class TokenLineText {
  public:
   explicit TokenLineText(const std::vector<Token>& toks) : toks_(&toks) {}
@@ -145,97 +145,22 @@ void rule_layer_order(const ProjectModel& m, std::vector<Finding>* out,
   }
 }
 
-// --- rule: include-hygiene-v2 -----------------------------------------------
+// --- rule: orphan-header ----------------------------------------------------
 
-struct SymbolUse {
-  const Decl* decl;
-  std::int32_t line;
-  std::int32_t col;
-};
-
-void rule_include_hygiene_v2(const ProjectModel& m, std::vector<Finding>* out,
-                             std::size_t* suppressed) {
+void rule_orphan_header(const ProjectModel& m, std::vector<Finding>* out,
+                        std::size_t* suppressed) {
+  // A header nobody includes is either dead or meant to be used and wired up.
   for (const auto& [path, file] : m.files) {
-    if (!file.policy.include_hygiene_v2 || !starts_with(path, "src/")) {
+    if (!file.policy.orphan_header || !starts_with(path, "src/") ||
+        !ends_with(path, ".hpp")) {
       continue;
     }
-    Sink sink(file, out, suppressed);
     const GraphNode* node = m.graph.node(path);
-    if (node == nullptr) continue;
-
-    // Orphan check for headers: a header nobody includes is either dead or
-    // meant to be used and wired up.
-    if (ends_with(path, ".hpp")) {
-      if (node->included_by.empty()) {
-        sink.report("include-hygiene-v2", 1, 1,
-                    "orphan header: no scanned file includes " + path +
-                        " — wire it in or delete it");
-      }
-    }
-
-    // Direct includes of this TU; a .cpp also inherits its own header's
-    // directs (the header is included first, by the header-hygiene rule).
-    std::set<std::string> direct;
-    for (const IncludeEdge& e : node->includes) {
-      if (!e.target.empty()) direct.insert(e.target);
-    }
-    std::string sibling;
-    if (ends_with(path, ".cpp")) {
-      sibling = path.substr(0, path.size() - 4) + ".hpp";
-      if (const GraphNode* sib = m.graph.node(sibling)) {
-        direct.insert(sibling);
-        for (const IncludeEdge& e : sib->includes) {
-          if (!e.target.empty()) direct.insert(e.target);
-        }
-      } else {
-        sibling.clear();
-      }
-    }
-    const std::set<std::string> closure = m.graph.closure(path);
-
-    // Names this file defines or forward-declares don't need an include.
-    std::set<std::string> local;
-    for (const Decl& d : file.decls.decls) local.insert(d.name);
-
-    std::set<std::string> reported;
-    const auto check_use = [&](const Decl* d, const Token& t) {
-      if (d == nullptr || !d->owner.empty()) return;  // nested: need outer
-      if (d->path == path || d->path == sibling) return;
-      if (local.count(d->name) != 0) return;
-      if (direct.count(d->path) != 0) return;
-      // Only flag symbols the TU actually reaches transitively: a same-name
-      // match outside the closure is a different symbol or a build the
-      // compiler would already reject.
-      if (closure.count(d->path) == 0) return;
-      if (!reported.insert(d->name).second) return;
-      sink.report("include-hygiene-v2", t.line, t.col,
-                  "uses " + d->name + " but does not include its defining "
-                  "header " + d->path +
-                      " directly — include what you use (transitive "
-                      "includes are not a contract)");
-    };
-
-    const std::vector<Token>& toks = file.toks;
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-      const Token& t = toks[i];
-      if (t.kind != TokKind::kIdent) continue;
-      const Token* prev = i > 0 ? &toks[i - 1] : nullptr;
-      const bool member_access =
-          prev != nullptr && prev->kind == TokKind::kPunct &&
-          (prev->text == "." || prev->text == "->");
-      if (member_access) continue;
-      const bool qualified = prev != nullptr &&
-                             prev->kind == TokKind::kPunct &&
-                             prev->text == "::";
-      // Classes and macros match on the bare name; free functions only when
-      // namespace-qualified (bare short names are too ambiguous for a
-      // token-level match).
-      check_use(m.header_index.unique_decl(t.text, DeclKind::kClass), t);
-      check_use(m.header_index.unique_decl(t.text, DeclKind::kMacro), t);
-      if (qualified) {
-        check_use(m.header_index.unique_decl(t.text, DeclKind::kFunction), t);
-      }
-    }
+    if (node == nullptr || !node->included_by.empty()) continue;
+    Sink sink(file, out, suppressed);
+    sink.report("orphan-header", 1, 1,
+                "orphan header: no scanned file includes " + path +
+                    " — wire it in or delete it");
   }
 }
 
@@ -433,9 +358,7 @@ void rule_lock_discipline(const ProjectModel& m, std::vector<Finding>* out,
     for (const ProjectFile* f : unit) {
       spawns = spawns || f->decls.spawns_threads;
       for (const Decl& d : f->decls.decls) {
-        if (d.kind == DeclKind::kClass && !d.forward_only) {
-          class_names.insert(d.name);
-        }
+        if (d.kind == DeclKind::kClass) class_names.insert(d.name);
         if (d.kind == DeclKind::kField && d.note == SyncNote::kGuardedBy) {
           guarded.emplace(d.name, GuardedField{last_component(d.note_arg),
                                                d.path, d.line});
@@ -499,7 +422,7 @@ ProjectReport run_project_rules(const ProjectModel& model) {
   ProjectReport report;
   if (!model.active()) return report;
   rule_layer_order(model, &report.findings, &report.suppressed);
-  rule_include_hygiene_v2(model, &report.findings, &report.suppressed);
+  rule_orphan_header(model, &report.findings, &report.suppressed);
   rule_lock_discipline(model, &report.findings, &report.suppressed);
   std::sort(report.findings.begin(), report.findings.end(),
             [](const Finding& a, const Finding& b) {

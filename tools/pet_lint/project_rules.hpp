@@ -7,10 +7,8 @@
 //                       sideways or down the declared order, never up, and
 //                       include cycles are always findings; src/ dirs
 //                       absent from the map are findings too
-//   include-hygiene-v2  IWYU-lite: a TU naming a project class/function/
-//                       macro must include its defining header directly
-//                       (a .cpp inherits its own header's includes);
-//                       headers included by nobody are orphans
+//   orphan-header       a src/ header that no scanned file includes is
+//                       dead or unwired
 //   lock-discipline     fields annotated PET_GUARDED_BY(mu) may only be
 //                       touched while a lock_guard/scoped_lock/unique_lock
 //                       on `mu` is in scope (PET_REQUIRES(mu) vouches for a
@@ -42,7 +40,6 @@ struct ProjectFile {
 struct ProjectModel {
   LayerMap layers;
   IncludeGraph graph;
-  DeclIndex header_index;  // headers only — defining headers for hygiene
   std::map<std::string, ProjectFile> files;
 
   [[nodiscard]] bool active() const { return layers.loaded(); }

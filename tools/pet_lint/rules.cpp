@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cctype>
 #include <map>
 #include <set>
 #include <string>
@@ -65,6 +66,15 @@ void parse_allow_list(std::string_view text, std::size_t open_paren,
   }
 }
 
+/// Id-shaped text (`[A-Za-z0-9_-]+`). Prose that quotes the grammar, such
+/// as `allow(<id>, ...)`, is neither a suppression nor a stale one.
+[[nodiscard]] bool looks_like_rule_id(std::string_view id) {
+  return !id.empty() && std::all_of(id.begin(), id.end(), [](char ch) {
+    return std::isalnum(static_cast<unsigned char>(ch)) != 0 || ch == '-' ||
+           ch == '_';
+  });
+}
+
 }  // namespace
 
 Suppressions collect_suppressions(const std::vector<Token>& toks) {
@@ -91,12 +101,21 @@ Suppressions collect_suppressions(const std::vector<Token>& toks) {
       const std::size_t nonspace = rest.find_first_not_of(" \t");
       if (nonspace == std::string_view::npos) break;
       rest.remove_prefix(nonspace);
+      pos = after;
+      const bool whole_file = starts_with(rest, "allow-file(");
+      if (!whole_file && !starts_with(rest, "allow(")) continue;
       std::set<std::string> ids;
-      if (starts_with(rest, "allow-file(")) {
-        parse_allow_list(rest, rest.find('('), ids);
+      parse_allow_list(rest, rest.find('('), ids);
+      for (const std::string& id : ids) {
+        if (looks_like_rule_id(id) &&
+            std::find(all_rule_ids().begin(), all_rule_ids().end(), id) ==
+                all_rule_ids().end()) {
+          supp.unknown.emplace_back(id, t.line);
+        }
+      }
+      if (whole_file) {
         supp.file_allow.insert(ids.begin(), ids.end());
-      } else if (starts_with(rest, "allow(")) {
-        parse_allow_list(rest, rest.find('('), ids);
+      } else {
         // The annotation covers every line the comment spans, any
         // directly following comment-only lines (a continued
         // justification), and the first code line after the run
@@ -112,7 +131,6 @@ Suppressions collect_suppressions(const std::vector<Token>& toks) {
           supp.line_allow[l].insert(ids.begin(), ids.end());
         }
       }
-      pos = after;
     }
   }
   return supp;
@@ -438,30 +456,6 @@ void rule_unaudited_ecn(const Ctx& c) {
   }
 }
 
-// --- rule: hot-path-alloc ---------------------------------------------------
-
-void rule_hot_path_alloc(const Ctx& c) {
-  // The DES hot path (src/sim, src/net) is allocation-free by contract —
-  // test_alloc_steady enforces zero steady-state heap traffic. std::function
-  // boxes any capture past its tiny SSO, and std::deque allocates per block;
-  // both reintroduce per-event allocation silently. Cold control-plane uses
-  // (setup-time classifiers, fault plans, BFS scratch) carry explicit
-  // allow() suppressions with the justification.
-  const TokenView& tv = c.tv;
-  for (std::size_t i = 0; i + 2 < tv.size(); ++i) {
-    if (!tv.is_ident(i, "std") || !tv.is_punct(i + 1, "::")) continue;
-    if (tv.is_ident(i + 2, "function")) {
-      c.report("hot-path-alloc", tv.at(i + 2),
-               "std::function heap-boxes captures on the event hot path — "
-               "use sim::SmallCallback (inline storage, pooled slots)");
-    } else if (tv.is_ident(i + 2, "deque")) {
-      c.report("hot-path-alloc", tv.at(i + 2),
-               "std::deque allocates per block on the packet hot path — "
-               "use a flat ring buffer (see net::FifoQueue)");
-    }
-  }
-}
-
 // --- rule: nodiscard-chain --------------------------------------------------
 
 [[nodiscard]] bool is_chain_api(const std::string& name) {
@@ -560,33 +554,6 @@ void rule_nodiscard_chain(const Ctx& c) {
   }
 }
 
-// --- rule: quantize-narrowing -----------------------------------------------
-
-void rule_quantize_narrowing(const Ctx& c) {
-  // fp64 -> int8 narrowing is only correct through the audited per-row
-  // scale / clamp / lrint sequence in InferenceModel::quantize; that TU is
-  // the single allowed narrowing site in src/rl. Any other int8 cast is a
-  // rogue quantizer whose rounding/saturation behaviour nobody verified
-  // against the fp64 oracle (tests/test_oracle_inference.cpp).
-  if (c.path == "src/rl/inference.cpp") return;
-  const TokenView& tv = c.tv;
-  for (std::size_t i = 0; i < tv.size(); ++i) {
-    if (!tv.is_ident(i, "static_cast") || !tv.is_punct(i + 1, "<")) continue;
-    int depth = 0;
-    for (std::size_t j = i + 1; j < tv.size(); ++j) {
-      if (tv.is_punct(j, "<")) ++depth;
-      if (tv.is_punct(j, ">") && --depth == 0) break;
-      if (tv.is_ident(j, "int8_t")) {
-        c.report("quantize-narrowing", tv.at(i),
-                 "static_cast to int8_t outside the audited quantizer — "
-                 "fp64->int8 narrowing must go through "
-                 "rl::InferenceModel::quantize (per-row scale, clamp, lrint)");
-        break;
-      }
-    }
-  }
-}
-
 // --- rule: header-hygiene ---------------------------------------------------
 
 [[nodiscard]] std::string stem_of(const std::string& path) {
@@ -649,18 +616,10 @@ Policy policy_for(std::string_view relpath) {
     p.header_hygiene = true;
     if (starts_with(relpath, "src/sim/log.")) p.banned_io = false;
     if (starts_with(relpath, "src/testkit/")) p.banned_getenv = false;
-    // The DES hot path is allocation-free by contract (test_alloc_steady);
-    // only the event/packet subsystems carry the container ban.
-    if (starts_with(relpath, "src/sim/") || starts_with(relpath, "src/net/")) {
-      p.hot_path_alloc = true;
-    }
-    // int8 quantization is audited in exactly one TU (the rule itself
-    // exempts src/rl/inference.cpp).
-    if (starts_with(relpath, "src/rl/")) p.quantize_narrowing = true;
     // Cross-TU rules cover the architecture under src/ only; tests, tools
     // and bench code sit outside the layer map by design.
     p.layer_order = true;
-    p.include_hygiene_v2 = true;
+    p.orphan_header = true;
     p.lock_discipline = true;
     return p;
   }
@@ -679,9 +638,9 @@ Policy policy_for(std::string_view relpath) {
 
 const std::vector<std::string>& all_rule_ids() {
   static const std::vector<std::string> kIds = {
-      "banned-api", "nondet-iteration", "unaudited-ecn", "nodiscard-chain",
-      "header-hygiene", "hot-path-alloc", "quantize-narrowing",
-      "layer-order", "include-hygiene-v2", "lock-discipline"};
+      "banned-api",     "nondet-iteration", "unaudited-ecn",
+      "nodiscard-chain", "header-hygiene",  "layer-order",
+      "orphan-header",  "lock-discipline"};
   return kIds;
 }
 
@@ -707,12 +666,18 @@ FileReport analyze_source(const std::string& relpath, std::string_view content,
     rule_nondet_iteration(c, inherited);
   }
   if (policy.unaudited_ecn) rule_unaudited_ecn(c);
-  if (policy.hot_path_alloc) rule_hot_path_alloc(c);
-  if (policy.quantize_narrowing) rule_quantize_narrowing(c);
   if (policy.nodiscard_chain) rule_nodiscard_chain(c);
   if (policy.header_hygiene) rule_header_hygiene(c, has_sibling_header);
 
   FileReport report;
+  for (const auto& [id, line] : supp.unknown) {
+    report.findings.push_back(Finding{
+        "unknown-rule", relpath, line, 1,
+        "suppression names '" + id +
+            "', which is not a pet_lint rule (pet_lint --list-rules) — "
+            "delete the stale annotation or fix the id",
+        std::string(trim(lines.line(line)))});
+  }
   for (Finding& f : raw) {
     if (supp.allows(f.rule, f.line)) {
       ++report.suppressed;

@@ -2,7 +2,7 @@
 // Rule engine for pet_lint: the repo's determinism and audit invariants as
 // machine-checked source rules.
 //
-// Rule IDs (stable; used in suppressions and the baseline file):
+// Rule IDs (stable; used in suppressions):
 //   banned-api        nondeterministic / unaudited-I/O standard APIs, and
 //                     non-atomic file writes (ofstream / fopen-for-write)
 //                     that can leave torn artifacts — route through
@@ -19,25 +19,20 @@
 //                     and every call site must consume the result
 //   header-hygiene    #pragma once first in headers; a TU's own header
 //                     must be its first include
-//   hot-path-alloc    std::function / std::deque in the DES hot-path
-//                     subsystems (src/sim, src/net) — per-event heap
-//                     allocation is banned there; use sim::SmallCallback
-//                     and flat ring buffers (net::FifoQueue pattern)
-//   quantize-narrowing  static_cast to int8_t in src/rl outside the single
-//                     audited quantizer (rl::InferenceModel::quantize in
-//                     src/rl/inference.cpp) — ad-hoc fp64->int8 narrowing
-//                     skips the verified scale/clamp/lrint sequence
 //
 // Suppressions: `// pet-lint: allow(<id>[, <id>...]): <justification>` on
 // the offending line or the line directly above it, or
 // `// pet-lint: allow-file(<id>): <justification>` anywhere for the whole
 // file. Justifications are mandatory by convention (reviewed, not parsed).
+// A suppression naming an id that is not a rule is itself an
+// `unknown-rule` finding, which no suppression silences.
 
 #include <cstdint>
 #include <map>
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "lexer.hpp"
@@ -50,6 +45,8 @@ namespace pet::lint {
 struct Suppressions {
   std::set<std::string> file_allow;
   std::map<std::int32_t, std::set<std::string>> line_allow;
+  /// Named ids that are not rules, with the line of their annotation.
+  std::vector<std::pair<std::string, std::int32_t>> unknown;
 
   [[nodiscard]] bool allows(const std::string& rule, std::int32_t line) const {
     if (file_allow.count(rule) != 0) return true;
@@ -75,13 +72,11 @@ struct Policy {
   bool unaudited_ecn = false;
   bool nodiscard_chain = false;
   bool header_hygiene = false;
-  bool hot_path_alloc = false;
-  bool quantize_narrowing = false;  // src/rl only; rule exempts inference.cpp
   // Cross-TU rules (pass 2; see project_rules.hpp). The bits mark which
   // files participate; the pass as a whole only runs when the scanned root
   // declares an architecture in tools/pet_lint/layers.txt.
   bool layer_order = false;
-  bool include_hygiene_v2 = false;
+  bool orphan_header = false;
   bool lock_discipline = false;
 };
 
@@ -95,7 +90,7 @@ struct Finding {
   std::int32_t line = 0;
   std::int32_t col = 0;
   std::string message;
-  std::string line_text;  // trimmed source line — the baseline fingerprint
+  std::string line_text;  // trimmed source line, echoed under the finding
 };
 
 struct FileReport {

@@ -1,10 +1,8 @@
 #!/usr/bin/env bash
 # Build and run pet_lint against the repo. Usage: tools/run_lint.sh [args...]
 # Extra args are passed through, e.g.:
-#   --write-baseline | --no-baseline
-#   --format=json                               machine-readable findings
-#   --graph=tools/pet_lint/lint_graph.json      regenerate the include graph
-#   --verify-graph=tools/pet_lint/lint_graph.json  check it is current
+#   --list-rules                 print the rule ids
+#   src/net/port.cpp ...         lint only these repo-relative files
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
